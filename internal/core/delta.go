@@ -6,10 +6,10 @@
 // The machinery is a per-peer acked-version table fed by the existing SYNC
 // traffic. For every peer the sender tracks, per object:
 //
-//   - tip: the state after the last record flushed to that peer (nil means
-//     the registered initial state — both sides share it, so even a first
-//     record can be a delta);
-//   - pending: a FIFO of (stamp, object) pairs for records sent but not yet
+//   - tip: the state after the last record flushed to that peer (no row
+//     means the registered initial state — both sides share it, so even a
+//     first record can be a delta);
+//   - pending: a FIFO of (stamp, row) pairs for records sent but not yet
 //     proven consumed. A consumed SYNC from the peer stamped s proves the
 //     peer completed every mutual rendezvous before s, and therefore (FIFO
 //     channels) consumed every record stamped below s; those entries are
@@ -27,6 +27,8 @@
 package core
 
 import (
+	"slices"
+
 	"sdso/internal/diff"
 	"sdso/internal/store"
 	"sdso/internal/trace"
@@ -34,68 +36,66 @@ import (
 	"sdso/internal/xlist"
 )
 
+// deltaTx is the sender's row for one (peer, object). A missing row means
+// the peer holds the registered initial state.
+type deltaTx struct {
+	tip   []byte // state after the last flushed record
+	ver   int64
+	npend int // records sent but not yet proven consumed
+}
+
 // deltaPending is one record sent but not yet proven consumed.
 type deltaPending struct {
 	stamp int64
-	obj   store.ID
+	row   *deltaTx
 }
 
 // deltaSendState is the sender half of the acked-version table for one peer.
 type deltaSendState struct {
-	tip     map[store.ID][]byte // state after the last flushed record; missing = initial
-	tipVer  map[store.ID]int64
-	pending []deltaPending
-	npend   map[store.ID]int // pending records per object
+	rows    map[store.ID]*deltaTx
+	pending []deltaPending // FIFO by stamp
 }
 
-// deltaRecvState is the receiver's shadow of one sender's last-sent states.
-type deltaRecvState struct {
-	state map[store.ID][]byte // missing = registered initial state
-	ver   map[store.ID]int64
-	// bad marks objects whose shadow is unknown (a rejected delta, a diff
-	// that would not apply); deltas are refused until a full replacement
-	// record or a recovery reply restores it.
-	bad map[store.ID]bool
+// deltaRx is the receiver's shadow of one sender's last-sent state of one
+// object.
+type deltaRx struct {
+	state []byte
+	ver   int64
+	has   bool // state is set; otherwise the shadow is the initial state
+	// bad marks a shadow that is unknown (a rejected delta, a diff that
+	// would not apply); deltas are refused until a full replacement record
+	// or a recovery reply restores it.
+	bad bool
 }
 
-func newDeltaSendState() *deltaSendState {
-	return &deltaSendState{
-		tip:    make(map[store.ID][]byte),
-		tipVer: make(map[store.ID]int64),
-		npend:  make(map[store.ID]int),
+// deltaTxRow returns (allocating on first use) the send row for (peer, obj)
+// and whether it already existed.
+func (r *Runtime) deltaTxRow(peer int, obj store.ID) (*deltaTx, bool) {
+	p := &r.peers[peer]
+	if p.tx == nil {
+		p.tx = &deltaSendState{rows: make(map[store.ID]*deltaTx)}
 	}
-}
-
-func newDeltaRecvState() *deltaRecvState {
-	return &deltaRecvState{
-		state: make(map[store.ID][]byte),
-		ver:   make(map[store.ID]int64),
-		bad:   make(map[store.ID]bool),
-	}
-}
-
-// deltaBaseline returns the object's registered initial state — the
-// universal base both sides share before any record flows.
-func (r *Runtime) deltaBaseline(id store.ID) []byte { return r.deltaInit[id] }
-
-// deltaSendFor returns (allocating on first use) the send table for peer.
-func (r *Runtime) deltaSendFor(peer int) *deltaSendState {
-	ds, ok := r.deltaSend[peer]
+	row, ok := p.tx.rows[obj]
 	if !ok {
-		ds = newDeltaSendState()
-		r.deltaSend[peer] = ds
+		row = &deltaTx{}
+		p.tx.rows[obj] = row
 	}
-	return ds
+	return row, ok
 }
 
-// deltaRecvFor returns (allocating on first use) the shadow table for peer.
-func (r *Runtime) deltaRecvFor(peer int) *deltaRecvState {
-	dr, ok := r.deltaRecv[peer]
-	if !ok {
-		dr = newDeltaRecvState()
-		r.deltaRecv[peer] = dr
+// deltaRxRow returns (allocating on first use) the shadow row for
+// (peer, obj).
+func (r *Runtime) deltaRxRow(peer int, obj store.ID) *deltaRx {
+	p := &r.peers[peer]
+	if p.rx == nil {
+		p.rx = make(map[store.ID]*deltaRx)
 	}
-	return dr
+	row := p.rx[obj]
+	if row == nil {
+		row = &deltaRx{}
+		p.rx[obj] = row
+	}
+	return row
 }
 
 // encodeDataPayload builds the payload for a DATA frame carrying diffs to
@@ -107,14 +107,15 @@ func (r *Runtime) encodeDataPayload(peer int, diffs []xlist.ObjDiff, stamp int64
 	if !r.cfg.DeltaEncode {
 		return xlist.EncodeDiffs(diffs), 0
 	}
-	ds := r.deltaSendFor(peer)
-	recs := make([]xlist.DeltaRecord, 0, len(diffs))
+	recs := r.recs[:0]
 	for _, od := range diffs {
 		rec := xlist.DeltaRecord{Obj: od.Obj, Version: od.Version, D: od.D}
-		base, haveTip := ds.tip[od.Obj]
-		baseVer := ds.tipVer[od.Obj]
+		row, haveTip := r.deltaTxRow(peer, od.Obj)
+		base, baseVer := row.tip, row.ver
 		if !haveTip {
-			base = r.deltaBaseline(od.Obj)
+			// The registered initial state: the universal base both sides
+			// share before any record flows.
+			base = r.st.Initial(od.Obj)
 		}
 		next, err := diff.Apply(base, od.D)
 		if err != nil {
@@ -127,9 +128,9 @@ func (r *Runtime) encodeDataPayload(peer int, diffs []xlist.ObjDiff, stamp int64
 				next = base
 			}
 		}
-		if ds.npend[od.Obj] == 0 && len(base) == len(next) {
+		if row.npend == 0 && len(base) == len(next) {
 			if x, xerr := diff.EncodeXOR(base, next); xerr == nil {
-				full := len(diff.Encode(od.D))
+				full := diff.EncodedLen(od.D)
 				if len(x) < full {
 					rec.Delta = true
 					rec.D = diff.Diff{}
@@ -140,13 +141,16 @@ func (r *Runtime) encodeDataPayload(peer int, diffs []xlist.ObjDiff, stamp int64
 				}
 			}
 		}
-		ds.tip[od.Obj] = next
-		ds.tipVer[od.Obj] = od.Version
-		ds.pending = append(ds.pending, deltaPending{stamp: stamp, obj: od.Obj})
-		ds.npend[od.Obj]++
+		row.tip, row.ver = next, od.Version
+		row.npend++
+		ds := r.peers[peer].tx
+		ds.pending = append(ds.pending, deltaPending{stamp: stamp, row: row})
 		recs = append(recs, rec)
 	}
-	return xlist.EncodeDeltaRecords(recs), wire.ModeDeltaPayload
+	payload := xlist.EncodeDeltaRecords(recs)
+	clear(recs)
+	r.recs = recs[:0]
+	return payload, wire.ModeDeltaPayload
 }
 
 // deltaAck feeds a consumed SYNC from peer stamped stamp into the ack
@@ -154,16 +158,13 @@ func (r *Runtime) encodeDataPayload(peer int, diffs []xlist.ObjDiff, stamp int64
 // cannot emit a SYNC for tick s before completing the rendezvous that
 // consumed them).
 func (r *Runtime) deltaAck(peer int, stamp int64) {
-	if !r.cfg.DeltaEncode {
-		return
-	}
-	ds, ok := r.deltaSend[peer]
-	if !ok {
+	ds := r.peers[peer].tx
+	if ds == nil {
 		return
 	}
 	i := 0
 	for ; i < len(ds.pending) && ds.pending[i].stamp < stamp; i++ {
-		ds.npend[ds.pending[i].obj]--
+		ds.pending[i].row.npend--
 	}
 	if i > 0 {
 		ds.pending = append(ds.pending[:0], ds.pending[i:]...)
@@ -181,62 +182,57 @@ func (r *Runtime) applyDeltaData(m *wire.Msg) {
 		return // corrupt payloads are dropped, like plain diff batches
 	}
 	src := int(m.Src)
-	dr := r.deltaRecvFor(src)
 	for _, rec := range recs {
-		base, haveShadow := dr.state[rec.Obj]
-		if !haveShadow {
-			base = r.deltaBaseline(rec.Obj)
+		row := r.deltaRxRow(src, rec.Obj)
+		base := row.state
+		if !row.has {
+			base = r.st.Initial(rec.Obj)
 		}
 		var next []byte
 		if rec.Delta {
-			if dr.bad[rec.Obj] || dr.ver[rec.Obj] != rec.BaseVer || diff.Fingerprint(base) != rec.BaseHash {
+			if row.bad || row.ver != rec.BaseVer || diff.Fingerprint(base) != rec.BaseHash {
 				// Stale or diverged base: refuse the delta and refetch the
 				// full state from the sender (the reply realigns both
 				// sides' tables). FIFO ordering makes this converge even if
 				// more stale-base records are already in flight.
 				r.mc.AddDeltaMismatch()
-				dr.bad[rec.Obj] = true
+				row.bad = true
 				r.deltaRequestRecovery(src, rec.Obj)
 				continue
 			}
 			next, err = diff.ApplyXOR(base, rec.X)
 			if err != nil {
 				r.mc.AddDeltaMismatch()
-				dr.bad[rec.Obj] = true
+				row.bad = true
 				r.deltaRequestRecovery(src, rec.Obj)
 				continue
 			}
 		} else {
 			next, err = diff.Apply(base, rec.D)
 			if err != nil {
+				// The shadow is unknown now. A replacement applies over
+				// anything, so that case is unreachable; a run diff over an
+				// unknown shadow still applies to the store as plain data
+				// would.
+				row.bad = true
 				if rec.D.Replace {
-					// Unreachable (a replacement applies over anything),
-					// but keep the shadow honest.
-					dr.bad[rec.Obj] = true
 					continue
 				}
-				// A run diff over an unknown shadow: apply to the store as
-				// plain data would, but the shadow stays unknown.
-				dr.bad[rec.Obj] = true
 				r.applyDeltaToStore(src, rec.Obj, rec.Version, rec.D, nil, m.Stamp)
 				continue
 			}
 			if rec.D.Replace {
-				delete(dr.bad, rec.Obj)
+				row.bad = false
 			}
 		}
-		if !dr.bad[rec.Obj] {
-			dr.state[rec.Obj] = next
-			dr.ver[rec.Obj] = rec.Version
+		if !row.bad {
+			row.state, row.ver, row.has = next, rec.Version, true
 		}
 		if rec.Delta {
 			r.applyDeltaToStore(src, rec.Obj, rec.Version, diff.Diff{}, next, m.Stamp)
 		} else {
 			r.applyDeltaToStore(src, rec.Obj, rec.Version, rec.D, nil, m.Stamp)
 		}
-	}
-	if m.Stamp > r.seen[src] {
-		r.seen[src] = m.Stamp
 	}
 }
 
@@ -272,13 +268,14 @@ func (r *Runtime) applyDeltaToStore(src int, obj store.ID, ver int64, d diff.Dif
 // deltaRequestRecovery refetches obj's full state from peer after a base
 // mismatch, at most one outstanding request per (peer, object).
 func (r *Runtime) deltaRequestRecovery(peer int, obj store.ID) {
-	if r.deltaFetch[peer] == nil {
-		r.deltaFetch[peer] = make(map[store.ID]bool)
-	}
-	if r.deltaFetch[peer][obj] {
+	p := &r.peers[peer]
+	if p.fetch[obj] {
 		return
 	}
-	r.deltaFetch[peer][obj] = true
+	if p.fetch == nil {
+		p.fetch = make(map[store.ID]bool)
+	}
+	p.fetch[obj] = true
 	_ = r.AsyncGet(obj, peer)
 }
 
@@ -292,18 +289,12 @@ func (r *Runtime) deltaServe(peer int, obj store.ID, state []byte, ver int64) {
 	if !r.cfg.DeltaEncode {
 		return
 	}
-	ds := r.deltaSendFor(peer)
-	ds.tip[obj] = append([]byte(nil), state...)
-	ds.tipVer[obj] = ver
-	if ds.npend[obj] > 0 {
-		kept := ds.pending[:0]
-		for _, p := range ds.pending {
-			if p.obj != obj {
-				kept = append(kept, p)
-			}
-		}
-		ds.pending = kept
-		ds.npend[obj] = 0
+	row, _ := r.deltaTxRow(peer, obj)
+	row.tip, row.ver = append([]byte(nil), state...), ver
+	if row.npend > 0 {
+		ds := r.peers[peer].tx
+		ds.pending = slices.DeleteFunc(ds.pending, func(p deltaPending) bool { return p.row == row })
+		row.npend = 0
 	}
 }
 
@@ -311,16 +302,9 @@ func (r *Runtime) deltaServe(peer int, obj store.ID, state []byte, ver int64) {
 // from peer (the recovery path's delivery): whatever the main store decided,
 // the sender's table now assumes we hold exactly this state.
 func (r *Runtime) deltaAdoptReply(peer int, obj store.ID, state []byte, ver int64) {
-	if r.deltaRecv == nil {
-		return
-	}
-	dr := r.deltaRecvFor(peer)
-	dr.state[obj] = append([]byte(nil), state...)
-	dr.ver[obj] = ver
-	delete(dr.bad, obj)
-	if r.deltaFetch[peer] != nil {
-		delete(r.deltaFetch[peer], obj)
-	}
+	row := r.deltaRxRow(peer, obj)
+	*row = deltaRx{state: append([]byte(nil), state...), ver: ver, has: true}
+	delete(r.peers[peer].fetch, obj)
 }
 
 // deltaResetPeer drops every delta table for peer, forcing full records on
@@ -328,21 +312,14 @@ func (r *Runtime) deltaAdoptReply(peer int, obj store.ID, state []byte, ver int6
 // a session reset or a rejoin invalidates any assumption about what the
 // other side holds.
 func (r *Runtime) deltaResetPeer(peer int) {
-	if r.deltaSend == nil {
-		return
-	}
-	delete(r.deltaSend, peer)
-	delete(r.deltaRecv, peer)
-	delete(r.deltaFetch, peer)
+	p := &r.peers[peer]
+	p.tx, p.rx, p.fetch = nil, nil, nil
 }
 
 // deltaResetAll drops every peer's delta tables (a joiner's state predates
 // the snapshot it is about to restore).
 func (r *Runtime) deltaResetAll() {
-	if r.deltaSend == nil {
-		return
+	for peer := range r.peers {
+		r.deltaResetPeer(peer)
 	}
-	clear(r.deltaSend)
-	clear(r.deltaRecv)
-	clear(r.deltaFetch)
 }

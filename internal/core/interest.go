@@ -24,7 +24,7 @@ import (
 // encodes. Metrics count one logical SYNC per destination either way,
 // and a destination that fails with transport.ErrPeerGone is evicted
 // exactly as on the per-peer path.
-func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts, sentSync map[int]*wire.Msg) error {
+func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 	if len(peers) == 0 {
 		return nil
 	}
@@ -78,8 +78,8 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts, sentSync map[in
 				// retransmission machinery; the shared frame above is
 				// what actually hit the wire.
 				own := sync.Clone()
-				sentSync[peer] = own
-				r.lastSync[peer] = own
+				r.peers[peer].sent = own
+				r.peers[peer].lastSync = own
 			}
 			enc.Release()
 			continue
@@ -93,8 +93,8 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts, sentSync map[in
 				}
 				return fmt.Errorf("exchange sync to %d: %w", peer, err)
 			}
-			sentSync[peer] = m
-			r.lastSync[peer] = m
+			r.peers[peer].sent = m
+			r.peers[peer].lastSync = m
 		}
 	}
 	return nil
@@ -111,11 +111,7 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts, sentSync map[in
 // fingerprint mismatch.) What does reset is the fetch dedup entry for
 // peer, so the enter-radius fetch is never suppressed by a stale
 // outstanding-request mark from a previous encounter.
-func (r *Runtime) InterestEnter(peer int) {
-	if r.deltaFetch != nil {
-		delete(r.deltaFetch, peer)
-	}
-}
+func (r *Runtime) InterestEnter(peer int) { r.peer(peer).fetch = nil }
 
 // InterestFetch issues on-demand full-record fetches for objs from peer,
 // the pull half of an enter-radius event: updates withheld while the
@@ -125,11 +121,12 @@ func (r *Runtime) InterestEnter(peer int) {
 // version-gated and realign the delta shadow. Peers that are crashed,
 // done, or not yet admitted are skipped.
 func (r *Runtime) InterestFetch(peer int, objs []store.ID) {
-	if r.peerCrashed[peer] || r.peerDone[peer] || r.peerAbsent[peer] {
+	p := r.peer(peer)
+	if p.gone() {
 		return
 	}
 	for _, obj := range objs {
-		if r.deltaFetch[peer] != nil && r.deltaFetch[peer][obj] {
+		if p.fetch[obj] {
 			continue
 		}
 		r.mc.AddInterestFetch()

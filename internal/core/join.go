@@ -50,7 +50,7 @@ func (r *Runtime) Join(incarnation int64) error {
 	}
 	var targets []int
 	for peer := 0; peer < r.ep.N(); peer++ {
-		if peer == r.ep.ID() || r.peerDone[peer] || r.peerCrashed[peer] {
+		if p := &r.peers[peer]; peer == r.ep.ID() || p.done || p.crashed {
 			continue
 		}
 		targets = append(targets, peer)
@@ -75,7 +75,7 @@ func (r *Runtime) Join(incarnation int64) error {
 	r.flush()
 
 	resolved := func(peer int) bool {
-		if r.peerDone[peer] || r.peerCrashed[peer] {
+		if p := &r.peers[peer]; p.done || p.crashed {
 			return true
 		}
 		_, acked := js.admit[peer]
@@ -143,7 +143,7 @@ func (r *Runtime) Join(incarnation int64) error {
 	earliest := int64(-1)
 	for _, peer := range targets {
 		admit, ok := js.admit[peer]
-		if !ok || r.peerDone[peer] || r.peerCrashed[peer] {
+		if p := &r.peers[peer]; !ok || p.done || p.crashed {
 			continue
 		}
 		if earliest < 0 || admit < earliest {
@@ -169,13 +169,13 @@ func (r *Runtime) Join(incarnation int64) error {
 // (a fresh tick would desynchronize the pairwise schedule if both acks
 // eventually arrive) plus a fresh snapshot.
 func (r *Runtime) serveJoin(peer int, m *wire.Msg) {
-	if peer == r.ep.ID() || r.localDone || r.peerDone[peer] {
+	p := &r.peers[peer]
+	if peer == r.ep.ID() || r.localDone || p.done {
 		return
 	}
 	inc := m.Stamp
-	if admit, ok := r.joinGrant[peer]; ok && r.joinInc[peer] == inc &&
-		!r.peerCrashed[peer] && !r.peerAbsent[peer] {
-		r.sendJoinReply(peer, admit)
+	if p.joinGrant > 0 && p.joinInc == inc && !p.crashed && !p.absent {
+		r.sendJoinReply(peer, p.joinGrant)
 		return
 	}
 	r.readmitPeer(peer)
@@ -184,8 +184,7 @@ func (r *Runtime) serveJoin(peer int, m *wire.Msg) {
 		slack = DefaultJoinSlack
 	}
 	admit := r.now + slack
-	r.joinGrant[peer] = admit
-	r.joinInc[peer] = inc
+	p.joinGrant, p.joinInc = admit, inc
 	r.xl.Set(peer, admit)
 	r.tr.Record(trace.OpAdmit, peer, 0, 0, r.now, admit)
 	r.debugf("now=%d serveJoin peer=%d inc=%d admit=%d epoch=%d", r.now, peer, inc, admit, r.epoch)
@@ -201,18 +200,16 @@ func (r *Runtime) serveJoin(peer int, m *wire.Msg) {
 // reopens so subsequent writes buffer for it again. The joiner's missed
 // history travels in the snapshot, so the slot starts empty.
 func (r *Runtime) readmitPeer(peer int) {
-	if !r.peerCrashed[peer] && !r.peerAbsent[peer] {
+	p := &r.peers[peer]
+	if !p.crashed && !p.absent {
 		return
 	}
-	delete(r.peerCrashed, peer)
-	delete(r.peerAbsent, peer)
+	p.crashed, p.absent = false, false
 	r.epoch++
 	r.buf.Readmit(peer)
 	// Pre-crash leftovers from the peer's previous life must not leak
 	// into its new one.
-	delete(r.earlySync, peer)
-	delete(r.earlyData, peer)
-	delete(r.lastSync, peer)
+	p.earlySync, p.earlyData, p.lastSync = nil, nil, nil
 	// The peer's new life starts from the join snapshot, not from whatever
 	// the delta tables remember of its old one: force full records until
 	// fresh acks rebuild the table.
@@ -284,7 +281,7 @@ func (r *Runtime) sendJoinReply(peer int, admit int64) {
 // granted rendezvous times out.
 func (r *Runtime) handleJoinAck(peer int, m *wire.Msg) {
 	js := r.joining
-	if js == nil || r.peerDone[peer] || r.peerCrashed[peer] {
+	if p := &r.peers[peer]; js == nil || p.done || p.crashed {
 		return
 	}
 	r.readmitPeer(peer) // the responder is live and a member
@@ -309,7 +306,7 @@ func (r *Runtime) handleSnapshot(peer int, m *wire.Msg) {
 		return // corrupt checkpoints are dropped; a retransmission follows
 	}
 	js := r.joining
-	if js == nil || r.peerDone[peer] || r.peerCrashed[peer] {
+	if p := &r.peers[peer]; js == nil || p.done || p.crashed {
 		return
 	}
 	if !js.snapped[peer] {

@@ -29,6 +29,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"sdso/internal/diff"
@@ -253,53 +254,72 @@ type Runtime struct {
 	tr  *trace.Recorder // nil when tracing is off; Record is nil-safe
 	cfg Config
 
-	now  int64
-	xl   *xlist.List
-	buf  *xlist.SlottedBuffer
-	seen map[int]int64 // latest applied data stamp per peer (diagnostics)
+	now   int64
+	xl    *xlist.List
+	buf   *xlist.SlottedBuffer
+	peers []peerState // indexed by process ID; the local entry is unused
 
-	// Early (future-stamped) traffic, at most one outstanding rendezvous
-	// per peer: earlySync records SYNC stamps seen ahead of the local
-	// clock, earlyData buffers their DATA payloads unapplied.
-	earlySync map[int]map[int64][]int64 // peer -> stamp -> beacon
-	earlyData map[int][]*wire.Msg
-
-	peerDone  map[int]bool
 	localDone bool
 	gameOver  bool  // some process announced DONE with the won flag
 	corr      int64 // correlation-stamp counter for put/get replies
+	corrDone  int64 // highest consumed reply correlation stamp
 
-	pendingReplies []*wire.Msg // ObjReply messages awaiting a SyncGet
-
-	// Failure detection state (active when RendezvousTimeout > 0).
-	peerCrashed map[int]bool      // peers evicted as crashed
-	syncSeen    map[int]int64     // highest consumed SYNC stamp per peer
-	lastSync    map[int]*wire.Msg // last SYNC sent to each peer (echo source)
-	corrDone    int64             // highest consumed reply correlation stamp
+	pendingReplies []*wire.Msg         // ObjReply messages awaiting a SyncGet
+	recs           []xlist.DeltaRecord // encodeDataPayload scratch
 
 	// Membership state (epoch-numbered views; see View).
-	epoch      int64
-	peerAbsent map[int]bool  // late joiners not yet admitted
-	joining    *joinState    // non-nil while Join is collecting admissions
-	joinGrant  map[int]int64 // peer → admission tick granted to it
-	joinInc    map[int]int64 // peer → incarnation of that grant
+	epoch   int64
+	joining *joinState // non-nil while Join is collecting admissions
 
 	// Checkpoint replication state (active when CheckpointEvery > 0):
 	// the freshest vaulted blob per origin, and which origins' blobs
 	// were already merged-and-relayed after an eviction.
 	vault   map[int]vaultEntry
 	relayed map[int]bool
+}
 
-	// Delta-encoding state (see delta.go): the registered initial state
-	// per object (the universal delta baseline), the per-peer sender and
-	// receiver halves of the acked-version table, and outstanding
-	// mismatch-recovery fetches. The receiver maps are maintained even
+// peerState is the runtime's bookkeeping for one remote process.
+type peerState struct {
+	done    bool // announced completion
+	crashed bool // evicted as crashed
+	absent  bool // late joiner not yet admitted
+
+	syncSeen int64     // highest consumed SYNC stamp
+	lastSync *wire.Msg // last SYNC sent to the peer (echo source)
+
+	// Early (future-stamped) traffic, at most one outstanding rendezvous:
+	// earlySync records SYNC stamps seen ahead of the local clock,
+	// earlyData buffers their DATA payloads unapplied.
+	earlySync []earlySync
+	earlyData []*wire.Msg
+
+	joinGrant int64 // admission tick granted to the peer; 0 = none
+	joinInc   int64 // incarnation of that grant
+
+	// Delta-encoding tables (see delta.go): the sender and receiver halves
+	// of the acked-version table and outstanding mismatch-recovery
+	// fetches, allocated on first use. The receiver half is kept even
 	// when DeltaEncode is off locally, so a runtime can always decode a
 	// delta-encoding peer.
-	deltaInit  map[store.ID][]byte
-	deltaSend  map[int]*deltaSendState
-	deltaRecv  map[int]*deltaRecvState
-	deltaFetch map[int]map[store.ID]bool
+	tx    *deltaSendState
+	rx    map[store.ID]*deltaRx
+	fetch map[store.ID]bool
+
+	// This Exchange's rendezvous: the SYNC sent to the peer, whether its
+	// answer is awaited, and whether (with which beacon) it arrived.
+	sent    *wire.Msg
+	waiting bool
+	have    bool
+	beacon  []int64
+}
+
+// gone reports whether the peer is not participating.
+func (p *peerState) gone() bool { return p.done || p.crashed || p.absent }
+
+// earlySync is a SYNC stamped ahead of the local clock.
+type earlySync struct {
+	stamp  int64
+	beacon []int64
 }
 
 // vaultEntry is one replicated checkpoint: an origin's store snapshot at
@@ -345,30 +365,14 @@ func New(cfg Config) (*Runtime, error) {
 		first = 1
 	}
 	r := &Runtime{
-		ep:        ep,
-		st:        store.New(),
-		mc:        mc,
-		tr:        cfg.Trace,
-		cfg:       cfg,
-		xl:        xlist.NewList(),
-		buf:       xlist.NewSlottedBuffer(ep.ID(), ep.N(), cfg.MergeDiffs),
-		seen:      make(map[int]int64),
-		earlySync: make(map[int]map[int64][]int64),
-		earlyData: make(map[int][]*wire.Msg),
-		peerDone:  make(map[int]bool),
-
-		peerCrashed: make(map[int]bool),
-		syncSeen:    make(map[int]int64),
-		lastSync:    make(map[int]*wire.Msg),
-
-		peerAbsent: make(map[int]bool),
-		joinGrant:  make(map[int]int64),
-		joinInc:    make(map[int]int64),
-
-		deltaInit:  make(map[store.ID][]byte),
-		deltaSend:  make(map[int]*deltaSendState),
-		deltaRecv:  make(map[int]*deltaRecvState),
-		deltaFetch: make(map[int]map[store.ID]bool),
+		ep:    ep,
+		st:    store.New(),
+		mc:    mc,
+		tr:    cfg.Trace,
+		cfg:   cfg,
+		xl:    xlist.NewList(),
+		buf:   xlist.NewSlottedBuffer(ep.ID(), ep.N(), cfg.MergeDiffs),
+		peers: make([]peerState, ep.N()),
 	}
 	if cfg.CheckpointEvery > 0 {
 		if r.cfg.CheckpointF <= 0 {
@@ -392,14 +396,14 @@ func New(cfg Config) (*Runtime, error) {
 			if peer == ep.ID() || member[peer] {
 				continue
 			}
-			r.peerAbsent[peer] = true
+			r.peers[peer].absent = true
 			r.xl.Remove(peer)
 			r.buf.Drop(peer)
 		}
 	}
 	if r.tr != nil {
 		for peer := 0; peer < ep.N(); peer++ {
-			if peer == ep.ID() || r.peerAbsent[peer] {
+			if peer == ep.ID() || r.peers[peer].absent {
 				continue
 			}
 			r.tr.Record(trace.OpSched, peer, 0, 0, 0, first)
@@ -423,22 +427,28 @@ func (r *Runtime) Store() *store.Store { return r.st }
 // Metrics exposes the collector.
 func (r *Runtime) Metrics() *metrics.Collector { return r.mc }
 
+// peer returns peer's state; an out-of-range ID gets an empty record.
+func (r *Runtime) peer(peer int) *peerState {
+	if peer < 0 || peer >= len(r.peers) {
+		return &peerState{}
+	}
+	return &r.peers[peer]
+}
+
 // PeerDone reports whether peer has announced completion.
-func (r *Runtime) PeerDone(peer int) bool { return r.peerDone[peer] }
+func (r *Runtime) PeerDone(peer int) bool { return r.peer(peer).done }
 
 // PeerCrashed reports whether peer was evicted as crashed (silent past the
 // suspicion threshold, or its connection broke without a DONE).
-func (r *Runtime) PeerCrashed(peer int) bool { return r.peerCrashed[peer] }
+func (r *Runtime) PeerCrashed(peer int) bool { return r.peer(peer).crashed }
 
 // PeerAbsent reports whether peer has not yet joined the game (it was
 // excluded from Config.InitialMembers and no join request has arrived).
-func (r *Runtime) PeerAbsent(peer int) bool { return r.peerAbsent[peer] }
+func (r *Runtime) PeerAbsent(peer int) bool { return r.peer(peer).absent }
 
 // PeerGone reports whether peer is not participating — announced done,
 // evicted as crashed, or absent (not yet joined).
-func (r *Runtime) PeerGone(peer int) bool {
-	return r.peerDone[peer] || r.peerCrashed[peer] || r.peerAbsent[peer]
-}
+func (r *Runtime) PeerGone(peer int) bool { return r.peer(peer).gone() }
 
 // View is an epoch-numbered membership view: the live members (including
 // the local process) as of the view's epoch. The epoch increments on every
@@ -456,7 +466,7 @@ func (r *Runtime) Epoch() int64 { return r.epoch }
 func (r *Runtime) View() View {
 	members := make([]int, 0, r.ep.N())
 	for peer := 0; peer < r.ep.N(); peer++ {
-		if peer != r.ep.ID() && (r.peerDone[peer] || r.peerCrashed[peer] || r.peerAbsent[peer]) {
+		if peer != r.ep.ID() && r.peers[peer].gone() {
 			continue
 		}
 		members = append(members, peer)
@@ -465,16 +475,21 @@ func (r *Runtime) View() View {
 }
 
 // PendingObjects returns the IDs of objects with modifications buffered for
-// peer but not yet sent (spatial s-functions use this to advertise the
-// local "dirty region").
+// peer but not yet sent, ascending.
 func (r *Runtime) PendingObjects(peer int) []store.ID { return r.buf.Objects(peer) }
+
+// EachPending calls yield for every object with modifications buffered for
+// peer but not yet sent, each once and in no particular order, until yield
+// returns false. It copies and sorts nothing (spatial s-functions use it
+// to advertise the local "dirty region" every rendezvous).
+func (r *Runtime) EachPending(peer int, yield func(store.ID) bool) { r.buf.Each(peer, yield) }
 
 // LivePeers returns the peers that have neither announced done nor been
 // evicted as crashed, ascending.
 func (r *Runtime) LivePeers() []int {
 	var out []int
 	for peer := 0; peer < r.ep.N(); peer++ {
-		if peer == r.ep.ID() || r.peerDone[peer] || r.peerCrashed[peer] || r.peerAbsent[peer] {
+		if peer == r.ep.ID() || r.peers[peer].gone() {
 			continue
 		}
 		out = append(out, peer)
@@ -485,15 +500,12 @@ func (r *Runtime) LivePeers() []int {
 // Share registers a shared object with its initial state — the paper's
 // share() call, used once per object at initialization.
 func (r *Runtime) Share(id store.ID, initial []byte) error {
-	if err := r.st.Register(id, initial); err != nil {
-		return err
-	}
-	// The registered initial state is the universal delta baseline: every
-	// process Shares the same objects with the same initial bytes, so a
-	// missing entry in either half of the acked-version table means "the
-	// initial state" and even a first record can be delta-encoded.
-	r.deltaInit[id] = append([]byte(nil), initial...)
-	return nil
+	// The registered initial state, kept in the store row, is the
+	// universal delta baseline: every process Shares the same objects with
+	// the same initial bytes, so a missing entry in either half of the
+	// acked-version table means "the initial state" and even a first
+	// record can be delta-encoded.
+	return r.st.Register(id, initial)
 }
 
 // Write applies a local modification to a shared object and buffers the
@@ -510,7 +522,9 @@ func (r *Runtime) Share(id store.ID, initial []byte) error {
 // consistency protocol guarantees its replica of that object is fresh, so
 // each write's version extends the true chain. The paper's diff machinery
 // (internal/diff) still carries the updates — a replacement is one kind of
-// diff — and slotted-buffer merging still collapses successive writes.
+// diff — and slotted-buffer merging still collapses successive writes. The
+// replacement shares the store's copy of the new state, which no later
+// write mutates in place.
 func (r *Runtime) Write(id store.ID, data []byte) error {
 	d, err := r.st.UpdateBy(id, data, r.ep.ID())
 	if err != nil {
@@ -525,26 +539,11 @@ func (r *Runtime) Write(id store.ID, data []byte) error {
 		return err
 	}
 	r.tr.Record(trace.OpWrite, r.ep.ID(), int64(id), ver, r.now, 0)
-	state := make([]byte, len(data))
-	copy(state, data)
-	repl := diff.Diff{Replace: true, Len: len(state), Runs: []diff.Run{{Off: 0, Data: state}}}
-	skip := make(map[int]bool, len(r.peerDone)+len(r.peerCrashed)+len(r.peerAbsent))
-	for peer, done := range r.peerDone {
-		if done {
-			skip[peer] = true
-		}
-	}
-	for peer, crashed := range r.peerCrashed {
-		if crashed {
-			skip[peer] = true
-		}
-	}
-	for peer, absent := range r.peerAbsent {
-		if absent {
-			skip[peer] = true
-		}
-	}
-	return r.buf.AddAll(id, ver, repl, skip)
+	state, _ := r.st.View(id)
+	// Every peer that is done, crashed or absent has had its slot dropped
+	// (handleDone, evictPeer, New), so AddAll skips exactly those.
+	r.buf.AddAll(id, ver, diff.Diff{Replace: true, Len: len(state), Runs: []diff.Run{{Off: 0, Data: state}}})
+	return nil
 }
 
 // send transmits m and counts it.
@@ -579,7 +578,7 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 		targets = r.LivePeers()
 	default:
 		for _, e := range r.xl.Due(r.now) {
-			if !r.peerDone[e.Proc] && !r.peerCrashed[e.Proc] {
+			if p := &r.peers[e.Proc]; !p.done && !p.crashed {
 				targets = append(targets, e.Proc)
 			}
 		}
@@ -593,9 +592,11 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 
 	// Apply any buffered early traffic that has become current; collect
 	// beacons of partners whose SYNC already arrived.
-	gotSync := make(map[int][]int64)
-	haveSync := make(map[int]bool)
-	r.absorbEarly(gotSync, haveSync)
+	for i := range r.peers {
+		p := &r.peers[i]
+		p.sent, p.waiting, p.have, p.beacon = nil, false, false, nil
+	}
+	r.absorbEarly()
 
 	// Push (data, SYNC) pairs to each target. Broadcast mode "forces the
 	// modifications ... as well as all buffered modifications to be
@@ -605,10 +606,9 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 	// A send that fails with transport.ErrPeerGone (TCP peer hung up
 	// without a DONE) is a crash observation: the peer is evicted and the
 	// exchange proceeds with the survivors.
-	sentSync := make(map[int]*wire.Msg, len(targets))
 	var deferredSync []int // filtered-out peers whose bare SYNC fans out grouped
 	for _, peer := range targets {
-		if r.peerCrashed[peer] {
+		if r.peers[peer].crashed {
 			continue
 		}
 		sendData := opts.How == Broadcast || opts.SendData == nil || opts.SendData(peer)
@@ -623,8 +623,11 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 				r.tr.Record(trace.OpWithheld, peer, int64(obj), 0, r.now, 0)
 			}
 		}
-		if sendData && r.buf.Pending(peer) > 0 {
-			diffs := r.buf.Flush(peer)
+		var diffs []xlist.ObjDiff
+		if sendData {
+			diffs = r.buf.Flush(peer)
+		}
+		if len(diffs) > 0 {
 			if r.cfg.PiggybackSync {
 				// One frame carries both halves of the rendezvous: the
 				// beacon — evaluated after the flush, exactly as for a
@@ -654,8 +657,8 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 				// The logical SYNC is recorded for the retransmission and
 				// echo machinery but never sent on its own.
 				sync := &wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: beacon}
-				sentSync[peer] = sync
-				r.lastSync[peer] = sync
+				r.peers[peer].sent = sync
+				r.peers[peer].lastSync = sync
 				continue
 			}
 			payload, dmode := r.encodeDataPayload(peer, diffs, r.now)
@@ -694,10 +697,10 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 			}
 			return fmt.Errorf("exchange sync to %d: %w", peer, err)
 		}
-		sentSync[peer] = sync
-		r.lastSync[peer] = sync
+		r.peers[peer].sent = sync
+		r.peers[peer].lastSync = sync
 	}
-	if err := r.sendSyncFanout(deferredSync, opts, sentSync); err != nil {
+	if err := r.sendSyncFanout(deferredSync, opts); err != nil {
 		return err
 	}
 	// Barrier: release whatever the transport coalesced before blocking on
@@ -709,15 +712,15 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 		if timeout <= 0 {
 			timeout = r.cfg.RendezvousTimeout
 		}
-		if err := r.awaitRendezvous(targets, gotSync, haveSync, sentSync, timeout); err != nil {
+		if err := r.awaitRendezvous(targets, timeout); err != nil {
 			return err
 		}
 		// Reschedule every partner that is still live.
 		for _, peer := range targets {
-			if r.peerDone[peer] || r.peerCrashed[peer] {
+			if p := &r.peers[peer]; p.done || p.crashed {
 				continue
 			}
-			pb := gotSync[peer]
+			pb := r.peers[peer].beacon
 			if r.cfg.OnBeacon != nil {
 				r.cfg.OnBeacon(peer, pb)
 			}
@@ -755,7 +758,7 @@ func (r *Runtime) streamCheckpoint() {
 	r.mc.AddQuorumRound()
 	for d := 1; d < n && sent < want; d++ {
 		peer := (self + d) % n
-		if r.peerDone[peer] || r.peerCrashed[peer] || r.peerAbsent[peer] {
+		if r.peers[peer].gone() {
 			continue
 		}
 		m := &wire.Msg{Kind: wire.KindCkpt, Stamp: r.now, Obj: uint32(self), Payload: snap}
@@ -796,7 +799,7 @@ func (r *Runtime) handleCkpt(peer int, m *wire.Msg) {
 	r.vault[origin] = vaultEntry{stamp: m.Stamp, snap: m.Payload}
 	delete(r.relayed, origin)
 	r.debugf("now=%d vault ckpt origin=%d stamp=%d bytes=%d", r.now, origin, m.Stamp, len(m.Payload))
-	if r.peerCrashed[origin] {
+	if r.peer(origin).crashed {
 		// The origin is already gone: fold its writes in right away.
 		r.relayVault(origin)
 	}
@@ -824,7 +827,7 @@ func (r *Runtime) relayVault(origin int) {
 	self, n := r.ep.ID(), r.ep.N()
 	sent := 0
 	for peer := 0; peer < n; peer++ {
-		if peer == self || r.peerDone[peer] || r.peerCrashed[peer] || r.peerAbsent[peer] {
+		if peer == self || r.peers[peer].gone() {
 			continue
 		}
 		m := &wire.Msg{Kind: wire.KindCkpt, Stamp: e.stamp, Obj: uint32(origin), Payload: e.snap}
@@ -844,10 +847,11 @@ func (r *Runtime) relayVault(origin int) {
 
 // absorbEarly moves buffered early messages whose stamp is now current into
 // effect: DATA payloads are applied, SYNC beacons recorded.
-func (r *Runtime) absorbEarly(gotSync map[int][]int64, haveSync map[int]bool) {
-	for peer, msgs := range r.earlyData {
-		var keep []*wire.Msg
-		for _, m := range msgs {
+func (r *Runtime) absorbEarly() {
+	for peer := range r.peers {
+		p := &r.peers[peer]
+		keep := p.earlyData[:0]
+		for _, m := range p.earlyData {
 			if m.Stamp <= r.now {
 				r.applyData(m)
 				r.recycle(m)
@@ -855,37 +859,28 @@ func (r *Runtime) absorbEarly(gotSync map[int][]int64, haveSync map[int]bool) {
 				keep = append(keep, m)
 			}
 		}
-		if len(keep) == 0 {
-			delete(r.earlyData, peer)
-		} else {
-			r.earlyData[peer] = keep
-		}
+		clear(p.earlyData[len(keep):])
+		p.earlyData = keep
 	}
-	for peer, stamps := range r.earlySync {
-		best := int64(-1)
-		for stamp := range stamps {
-			if stamp <= r.now && stamp > best {
-				best = stamp
+	for peer := range r.peers {
+		p := &r.peers[peer]
+		best := -1
+		for i, es := range p.earlySync {
+			if es.stamp <= r.now && (best < 0 || es.stamp > p.earlySync[best].stamp) {
+				best = i
 			}
 		}
 		if best < 0 {
 			continue
 		}
-		r.tr.Record(trace.OpSyncRecv, peer, 0, 0, r.now, best)
-		gotSync[peer] = stamps[best]
-		haveSync[peer] = true
-		if best > r.syncSeen[peer] {
-			r.syncSeen[peer] = best
-			r.deltaAck(peer, best)
+		stamp := p.earlySync[best].stamp
+		r.tr.Record(trace.OpSyncRecv, peer, 0, 0, r.now, stamp)
+		p.beacon, p.have = p.earlySync[best].beacon, true
+		if stamp > p.syncSeen {
+			p.syncSeen = stamp
+			r.deltaAck(peer, stamp)
 		}
-		for stamp := range stamps {
-			if stamp <= r.now {
-				delete(stamps, stamp)
-			}
-		}
-		if len(stamps) == 0 {
-			delete(r.earlySync, peer)
-		}
+		p.earlySync = slices.DeleteFunc(p.earlySync, func(es earlySync) bool { return es.stamp <= r.now })
 	}
 }
 
@@ -894,29 +889,32 @@ func (r *Runtime) absorbEarly(gotSync map[int][]int64, haveSync map[int]bool) {
 // become suspects: the unacknowledged SYNC is retransmitted under bounded
 // exponential backoff, and after maxRetransmits strikes the stragglers are
 // evicted as crashed and the rendezvous completes among the survivors.
-func (r *Runtime) awaitRendezvous(targets []int, gotSync map[int][]int64, haveSync map[int]bool, sentSync map[int]*wire.Msg, timeout time.Duration) error {
-	outstanding := make(map[int]bool, len(targets))
+func (r *Runtime) awaitRendezvous(targets []int, timeout time.Duration) error {
+	outstanding := 0
 	for _, peer := range targets {
-		if r.peerDone[peer] || r.peerCrashed[peer] || haveSync[peer] {
-			continue
+		if p := &r.peers[peer]; !p.done && !p.crashed && !p.have && !p.waiting {
+			p.waiting = true
+			outstanding++
 		}
-		outstanding[peer] = true
+	}
+	onPeerDone := func(peer int) {
+		if p := &r.peers[peer]; p.waiting {
+			p.waiting = false
+			outstanding--
+		}
 	}
 	onSync := func(peer int, beacon []int64, stamp int64) {
-		if outstanding[peer] {
-			gotSync[peer] = beacon
-			delete(outstanding, peer)
-			if stamp > r.syncSeen[peer] {
-				r.syncSeen[peer] = stamp
+		if p := &r.peers[peer]; p.waiting {
+			p.beacon = beacon
+			onPeerDone(peer)
+			if stamp > p.syncSeen {
+				p.syncSeen = stamp
 				r.deltaAck(peer, stamp)
 			}
 		}
 	}
-	onPeerDone := func(peer int) {
-		delete(outstanding, peer)
-	}
 	if timeout <= 0 {
-		for len(outstanding) > 0 {
+		for outstanding > 0 {
 			m, err := r.ep.Recv()
 			if err != nil {
 				return fmt.Errorf("exchange recv at tick %d: %w", r.now, err)
@@ -929,7 +927,7 @@ func (r *Runtime) awaitRendezvous(targets []int, gotSync map[int][]int64, haveSy
 	wait := timeout
 	retries := 0
 	suspected := false
-	for len(outstanding) > 0 {
+	for outstanding > 0 {
 		m, ok, err := r.ep.RecvTimeout(wait)
 		if err != nil {
 			return fmt.Errorf("exchange recv at tick %d: %w", r.now, err)
@@ -952,28 +950,26 @@ func (r *Runtime) awaitRendezvous(targets []int, gotSync map[int][]int64, haveSy
 		// now. Merely slow peers (the transport reports nothing) keep
 		// the full budget.
 		for _, peer := range targets {
-			if outstanding[peer] && transport.PeerGone(r.ep, peer) {
+			if r.peers[peer].waiting && transport.PeerGone(r.ep, peer) {
 				r.evictPeer(peer)
-				delete(outstanding, peer)
+				onPeerDone(peer)
 			}
 		}
 		retries++
 		if retries > r.maxRetransmits() {
-			// Iterate the targets slice (not the map) so evictions land
-			// in a deterministic order.
 			for _, peer := range targets {
-				if outstanding[peer] {
+				if r.peers[peer].waiting {
 					r.evictPeer(peer)
-					delete(outstanding, peer)
+					onPeerDone(peer)
 				}
 			}
 			return nil
 		}
 		for _, peer := range targets {
-			if !outstanding[peer] {
+			if !r.peers[peer].waiting {
 				continue
 			}
-			msg := sentSync[peer]
+			msg := r.peers[peer].sent
 			if msg == nil {
 				continue
 			}
@@ -982,7 +978,7 @@ func (r *Runtime) awaitRendezvous(targets []int, gotSync map[int][]int64, haveSy
 			if err := r.send(peer, re); err != nil {
 				if errors.Is(err, transport.ErrPeerGone) {
 					r.evictPeer(peer)
-					delete(outstanding, peer)
+					onPeerDone(peer)
 					continue
 				}
 				return fmt.Errorf("retransmit sync to %d: %w", peer, err)
@@ -1012,20 +1008,20 @@ func (r *Runtime) maxRetransmits() int {
 // from the peer survives (a fail-stop process's pre-crash output is valid
 // and is absorbed at its stamped tick).
 func (r *Runtime) evictPeer(peer int) {
-	if peer == r.ep.ID() || r.peerDone[peer] || r.peerCrashed[peer] {
+	p := &r.peers[peer]
+	if peer == r.ep.ID() || p.done || p.crashed {
 		return
 	}
-	delete(r.peerAbsent, peer) // an absent peer that failed to join is crashed
-	r.peerCrashed[peer] = true
+	p.absent = false // an absent peer that failed to join is crashed
+	p.crashed = true
 	r.epoch++
-	delete(r.joinGrant, peer) // a future rejoin negotiates a fresh admission
-	delete(r.joinInc, peer)
+	p.joinGrant, p.joinInc = 0, 0 // a future rejoin negotiates a fresh admission
 	r.mc.AddEviction()
 	r.tr.Record(trace.OpEvict, peer, 0, 0, r.now, 0)
 	r.debugf("now=%d evict peer=%d epoch=%d", r.now, peer, r.epoch)
 	r.xl.Remove(peer)
 	r.buf.Drop(peer)
-	delete(r.earlySync, peer)
+	p.earlySync = nil
 	// Anything the delta tables assumed about the peer died with it; a
 	// future readmission must start from full records.
 	r.deltaResetPeer(peer)
@@ -1054,7 +1050,7 @@ func (r *Runtime) flush() { _ = transport.Flush(r.ep) }
 // recycle returns a fully consumed incoming message to the transport's
 // free-list; a no-op on transports that do not pool received messages.
 // Beacon slices can outlive the message (earlySync and the rendezvous
-// gotSync map retain them), so Ints is always detached before pooling.
+// beacons retain them), so Ints is always detached before pooling.
 func (r *Runtime) recycle(m *wire.Msg) {
 	m.Ints = nil
 	transport.Recycle(r.ep, m)
@@ -1075,6 +1071,9 @@ func (r *Runtime) dispatch(m *wire.Msg, onSync func(peer int, beacon []int64, st
 // reply — and therefore must not be recycled.
 func (r *Runtime) consume(m *wire.Msg, onSync func(peer int, beacon []int64, stamp int64), onPeerDone func(peer int)) bool {
 	peer := int(m.Src)
+	if peer < 0 || peer >= len(r.peers) {
+		return true // no such process
+	}
 	// Join traffic is routed before the crashed/absent gate: a join
 	// request from an evicted or absent peer is exactly the expected way
 	// back in, and a joiner holds every peer absent until its ack lands.
@@ -1097,7 +1096,7 @@ func (r *Runtime) consume(m *wire.Msg, onSync func(peer int, beacon []int64, sta
 		r.handleCkpt(peer, m)
 		return false
 	}
-	if r.peerCrashed[peer] || r.peerAbsent[peer] {
+	if p := &r.peers[peer]; p.crashed || p.absent {
 		// Other traffic from an evicted (or not-yet-joined) peer is
 		// dropped: the eviction decision is final (late messages from a
 		// slow-but-live peer must not resurrect half of its state), and
@@ -1112,7 +1111,7 @@ func (r *Runtime) consume(m *wire.Msg, onSync func(peer int, beacon []int64, sta
 		// sees it at arrival, exactly as if a bare SYNC had followed.
 		piggy := m.Mode&wire.ModeSyncPiggyback != 0
 		if m.Stamp > r.now {
-			r.earlyData[peer] = append(r.earlyData[peer], m)
+			r.peers[peer].earlyData = append(r.peers[peer].earlyData, m)
 			if piggy {
 				r.handleSyncPart(peer, m.Stamp, m.Ints, 0, onSync)
 			}
@@ -1172,7 +1171,8 @@ func (r *Runtime) consume(m *wire.Msg, onSync func(peer int, beacon []int64, sta
 // frame (mode 0 in that case: a piggybacked frame is never a
 // retransmission).
 func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uint8, onSync func(peer int, beacon []int64, stamp int64)) {
-	if stamp <= r.syncSeen[peer] {
+	p := &r.peers[peer]
+	if stamp <= p.syncSeen {
 		// Duplicate of a SYNC already consumed (a retransmission or
 		// an injected duplicate). An explicit retransmission means
 		// the peer never received our answering SYNC for that tick —
@@ -1180,7 +1180,7 @@ func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uin
 		// complete. Echoes are sent unmarked, so an echo arriving as
 		// a duplicate dies here without ping-ponging.
 		if mode == modeRetransmit {
-			if ls := r.lastSync[peer]; ls != nil && ls.Stamp >= stamp {
+			if ls := p.lastSync; ls != nil && ls.Stamp >= stamp {
 				if err := r.send(peer, ls.Clone()); err == nil {
 					r.mc.AddRetransmit()
 				}
@@ -1192,12 +1192,13 @@ func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uin
 		// Ahead of our clock, or nobody is awaiting a rendezvous
 		// right now: hold the SYNC until the matching Exchange.
 		r.tr.Record(trace.OpSyncEarly, peer, 0, 0, r.now, stamp)
-		stamps, ok := r.earlySync[peer]
-		if !ok {
-			stamps = make(map[int64][]int64)
-			r.earlySync[peer] = stamps
+		for i := range p.earlySync {
+			if p.earlySync[i].stamp == stamp {
+				p.earlySync[i].beacon = beacon
+				return
+			}
 		}
-		stamps[stamp] = beacon
+		p.earlySync = append(p.earlySync, earlySync{stamp, beacon})
 		return
 	}
 	r.tr.Record(trace.OpSyncRecv, peer, 0, 0, r.now, stamp)
@@ -1210,10 +1211,11 @@ func (r *Runtime) handleDone(peer int, m *wire.Msg) {
 	if m.Mode == doneWon {
 		r.gameOver = true
 	}
-	if r.peerDone[peer] {
+	p := &r.peers[peer]
+	if p.done {
 		return
 	}
-	r.peerDone[peer] = true
+	p.done = true
 	r.epoch++
 	r.tr.Record(trace.OpPeerDone, peer, 0, 0, r.now, m.Stamp)
 	r.debugf("now=%d peerDone peer=%d stamp=%d epoch=%d", r.now, peer, m.Stamp, r.epoch)
@@ -1223,7 +1225,7 @@ func (r *Runtime) handleDone(peer int, m *wire.Msg) {
 	// tick ahead of its DONE); it must survive and be absorbed at its
 	// stamped tick — dropping it would lose the departing process's last
 	// writes. Early SYNCs, by contrast, have no rendezvous left to serve.
-	delete(r.earlySync, peer)
+	p.earlySync = nil
 }
 
 func (r *Runtime) debugf(format string, args ...any) {
@@ -1281,9 +1283,6 @@ func (r *Runtime) applyData(m *wire.Msg) {
 		}
 		_ = r.st.ApplyDiffFrom(od.Obj, od.D, od.Version, src)
 		r.tr.Record(trace.OpApply, src, int64(od.Obj), od.Version, r.now, m.Stamp)
-	}
-	if m.Stamp > r.seen[int(m.Src)] {
-		r.seen[int(m.Src)] = m.Stamp
 	}
 }
 
@@ -1354,8 +1353,7 @@ func (r *Runtime) Done(won bool) error {
 	// until their own clocks arrive, exactly as a regular rendezvous
 	// would, independent of wall-clock message timing.
 	for _, peer := range r.LivePeers() {
-		if r.buf.Pending(peer) > 0 {
-			diffs := r.buf.Flush(peer)
+		if diffs := r.buf.Flush(peer); len(diffs) > 0 {
 			payload, dmode := r.encodeDataPayload(peer, diffs, r.now+1)
 			data := &wire.Msg{
 				Kind:    wire.KindData,
@@ -1532,7 +1530,7 @@ func (r *Runtime) waitReply(to int, req *wire.Msg, obj uint32, stamp int64, appl
 			r.flush() // dispatch may have answered (echo, object serve)
 			continue
 		}
-		if r.peerDone[to] || r.peerCrashed[to] {
+		if p := &r.peers[to]; p.done || p.crashed {
 			return fmt.Errorf("core: awaiting reply for obj %d from %d: %w", obj, to, ErrPeerCrashed)
 		}
 		m, ok, err := r.ep.RecvTimeout(wait)

@@ -369,12 +369,27 @@ func (d Diff) clone() Diff {
 }
 
 // Encode serializes the diff for transmission.
-func Encode(d Diff) []byte {
-	size := 1 + binary.MaxVarintLen64*2
+func Encode(d Diff) []byte { return AppendEncode(make([]byte, 0, EncodedLen(d)), d) }
+
+// EncodedLen returns len(Encode(d)) without encoding.
+func EncodedLen(d Diff) int {
+	n := 1 + uvarintLen(uint64(d.Len)) + uvarintLen(uint64(len(d.Runs)))
 	for _, r := range d.Runs {
-		size += binary.MaxVarintLen64*2 + len(r.Data)
+		n += uvarintLen(uint64(r.Off)) + uvarintLen(uint64(len(r.Data))) + len(r.Data)
 	}
-	buf := make([]byte, 0, size)
+	return n
+}
+
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// AppendEncode appends Encode(d) to buf and returns the extended buffer.
+func AppendEncode(buf []byte, d Diff) []byte {
 	var flags byte
 	if d.Replace {
 		flags = 1

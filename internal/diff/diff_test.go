@@ -307,3 +307,18 @@ func TestCoalescing(t *testing.T) {
 		t.Errorf("Apply after coalescing: %v, %v", got, err)
 	}
 }
+
+// TestEncodedLenMatchesEncode: EncodedLen sizes exactly what Encode writes,
+// including multi-byte varints.
+func TestEncodedLenMatchesEncode(t *testing.T) {
+	big := make([]byte, 300)
+	for _, d := range []Diff{
+		{},
+		{Replace: true, Len: 3, Runs: []Run{{Off: 0, Data: []byte("abc")}}},
+		{Len: 70000, Runs: []Run{{Off: 5, Data: []byte("x")}, {Off: 20000, Data: big}}},
+	} {
+		if got, want := EncodedLen(d), len(Encode(d)); got != want {
+			t.Errorf("EncodedLen = %d, len(Encode) = %d for %+v", got, want, d.Len)
+		}
+	}
+}

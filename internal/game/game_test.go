@@ -569,13 +569,24 @@ func TestWithinRangeAndBoxApproach(t *testing.T) {
 
 func TestBoxOfObjects(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
-	if b := BoxOfObjects(cfg, nil); b != nil {
+	if b := BoxOfObjects(cfg, eachOf(nil)); b != nil {
 		t.Error("empty object set should give nil box")
 	}
 	ids := []store.ID{cfg.ObjectOf(Pos{3, 4}), cfg.ObjectOf(Pos{8, 2})}
-	b := BoxOfObjects(cfg, ids)
+	b := BoxOfObjects(cfg, eachOf(ids))
 	want := Box{MinX: 3, MinY: 2, MaxX: 8, MaxY: 4}
 	if b == nil || *b != want {
 		t.Errorf("BoxOfObjects = %+v, want %+v", b, want)
+	}
+}
+
+// eachOf visits ids in order, the shape BoxOfObjects consumes.
+func eachOf(ids []store.ID) func(yield func(store.ID) bool) {
+	return func(yield func(store.ID) bool) {
+		for _, id := range ids {
+			if !yield(id) {
+				return
+			}
+		}
 	}
 }

@@ -53,16 +53,19 @@ func BoxOf(ps []Pos) *Box {
 	return b
 }
 
-// BoxOfObjects returns the bounding box of a set of object IDs.
-func BoxOfObjects(cfg Config, ids []store.ID) *Box {
-	if len(ids) == 0 {
-		return nil
-	}
-	ps := make([]Pos, len(ids))
-	for i, id := range ids {
-		ps[i] = cfg.PosOf(id)
-	}
-	return BoxOf(ps)
+// BoxOfObjects returns the bounding box of the objects each yields (in any
+// order, repeats allowed), or nil if it yields none.
+func BoxOfObjects(cfg Config, each func(yield func(store.ID) bool)) *Box {
+	var b *Box
+	each(func(id store.ID) bool {
+		if p := cfg.PosOf(id); b == nil {
+			b = &Box{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
+		} else {
+			b.Add(p)
+		}
+		return true
+	})
+	return b
 }
 
 // Dist returns the Manhattan distance from p to the box (zero if inside).

@@ -74,7 +74,7 @@ func (p *player) interestGate(peer int) bool {
 	}
 	h := p.cfg.Game.InteractionRadius()
 	staleness := int(p.rt.Now() - kp.tick)
-	myBox := game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer))
+	myBox := p.pendingBox(peer)
 	if game.BoxApproach(kp.beacon.Tanks, myBox, h, staleness+3) {
 		return true
 	}
@@ -105,7 +105,7 @@ func (p *player) interestPacedSFunc() func(peer int, now int64, peerBeacon []int
 		if kp == nil || len(kp.beacon.Tanks) == 0 {
 			return now + base // peer about to vanish; DONE will arrive
 		}
-		myBox := game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer))
+		myBox := p.pendingBox(peer)
 		d := game.NextDelta(h, game.Positions(p.tanks), myBox, kp.beacon.Tanks, kp.beacon.Box)
 		stretch := d / base
 		if stretch < 1 {

@@ -181,16 +181,18 @@ type knownPeer struct {
 
 // player is one running game process.
 type player struct {
-	cfg    PlayerConfig
-	rt     *core.Runtime
-	team   int
-	goal   game.Pos
-	tanks  []game.TankState
-	known  map[int]*knownPeer
-	stats  game.TeamStats
-	mc     *metrics.Collector
-	ix     *interest.Index  // nil unless cfg.Interest
-	shards *shard.Partition // nil unless cfg.Shards > 1
+	cfg   PlayerConfig
+	rt    *core.Runtime
+	team  int
+	goal  game.Pos
+	tanks []game.TankState
+	known map[int]*knownPeer
+	stats game.TeamStats
+	// enemies is decideAll's per-tick enemy picture, reused across ticks.
+	enemies map[int][]game.Pos
+	mc      *metrics.Collector
+	ix      *interest.Index  // nil unless cfg.Interest
+	shards  *shard.Partition // nil unless cfg.Shards > 1
 }
 
 // RunPlayer executes one team's process to completion and returns its
@@ -521,7 +523,11 @@ func (p *player) refreshOwnTanks() {
 // sequencing is naturally provided by the local store: each tank's writes
 // land before the next tank decides.
 func (p *player) decideAll() []tankAction {
-	enemies := make(map[int][]game.Pos, len(p.known))
+	if p.enemies == nil {
+		p.enemies = make(map[int][]game.Pos, len(p.known))
+	}
+	enemies := p.enemies
+	clear(enemies)
 	for team, kp := range p.known {
 		// A peer that announced done or was evicted as crashed no longer
 		// moves; its last-known tanks are dropped from the enemy picture
@@ -555,6 +561,12 @@ func (p *player) decideAll() []tankAction {
 		}
 	}
 	return out
+}
+
+// pendingBox is the bounding box of the writes buffered for peer — the
+// "dirty box" the beacon advertises — or nil when nothing is buffered.
+func (p *player) pendingBox(peer int) *game.Box {
+	return game.BoxOfObjects(p.cfg.Game, func(yield func(store.ID) bool) { p.rt.EachPending(peer, yield) })
 }
 
 func (p *player) updateTanksAfterActions(actions []tankAction) {
@@ -597,7 +609,7 @@ func (p *player) exchangeOpts() core.ExchangeOpts {
 		Beacon: func(peer int) []int64 {
 			return game.EncodeBeacon(game.Beacon{
 				Tanks: game.Positions(p.tanks),
-				Box:   game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer)),
+				Box:   p.pendingBox(peer),
 			})
 		},
 	}
@@ -621,7 +633,7 @@ func (p *player) exchangeOpts() core.ExchangeOpts {
 			if kp == nil || len(kp.beacon.Tanks) == 0 {
 				return now + 1 // peer about to vanish; DONE will arrive
 			}
-			myBox := game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer))
+			myBox := p.pendingBox(peer)
 			return now + game.NextDelta(h, game.Positions(p.tanks), myBox, kp.beacon.Tanks, kp.beacon.Box)
 		}
 		opts.SendData = func(peer int) bool {
@@ -637,7 +649,7 @@ func (p *player) exchangeOpts() core.ExchangeOpts {
 			// its last-known position. Recent writes cluster around
 			// our own (moving) tanks, so the peer being reachable to
 			// our tanks' neighbourhood also forces a flush.
-			myBox := game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer))
+			myBox := p.pendingBox(peer)
 			if game.BoxApproach(kp.beacon.Tanks, myBox, h, staleness+3) {
 				return true
 			}

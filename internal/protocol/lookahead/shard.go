@@ -26,7 +26,7 @@ func (p *player) shardGate(peer int) bool {
 	}
 	h := p.cfg.Game.InteractionRadius()
 	staleness := int(p.rt.Now() - kp.tick)
-	myBox := game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer))
+	myBox := p.pendingBox(peer)
 	if game.BoxApproach(kp.beacon.Tanks, myBox, h, staleness+3) {
 		return true
 	}

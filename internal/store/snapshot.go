@@ -38,28 +38,25 @@ const (
 // the snapshot already covers; everything after flows through the live
 // exchange machinery once the joiner is readmitted.
 func (s *Store) Snapshot(floor int64) []byte {
-	ids := s.IDs()
 	size := snapshotHeaderSize
-	for _, id := range ids {
-		size += snapshotRecordSize + len(s.objs[id].data)
-	}
+	s.each(func(_ ID, o *object) { size += snapshotRecordSize + len(o.data) })
 	buf := make([]byte, size)
 	binary.BigEndian.PutUint64(buf, uint64(floor))
-	binary.BigEndian.PutUint32(buf[8:], uint32(len(ids)))
+	binary.BigEndian.PutUint32(buf[8:], uint32(s.n))
 	off := snapshotHeaderSize
-	for _, id := range ids {
-		o := s.objs[id]
+	s.each(func(id ID, o *object) {
 		binary.BigEndian.PutUint32(buf[off:], uint32(id))
 		binary.BigEndian.PutUint64(buf[off+4:], uint64(o.version))
 		binary.BigEndian.PutUint32(buf[off+12:], uint32(len(o.data)))
 		off += snapshotRecordSize
-		copy(buf[off:], o.data)
-		off += len(o.data)
-	}
+		off += copy(buf[off:], o.data)
+	})
 	return buf
 }
 
-// decodeSnapshot walks the snapshot, calling visit for each record. The
+// decodeSnapshot validates the whole snapshot — structure, sizes, and every
+// object ID below MaxObjects — and only then walks it, calling visit for
+// each record, so a rejected snapshot allocates and changes nothing. The
 // state slice aliases snap and must be copied if retained.
 func decodeSnapshot(snap []byte, visit func(id ID, version int64, state []byte)) (floor int64, err error) {
 	if len(snap) < snapshotHeaderSize {
@@ -70,23 +67,30 @@ func decodeSnapshot(snap []byte, visit func(id ID, version int64, state []byte))
 	if count > MaxSnapshotObjects {
 		return 0, fmt.Errorf("%w: %d objects", ErrBadSnapshot, count)
 	}
-	off := snapshotHeaderSize
-	for i := uint32(0); i < count; i++ {
-		if len(snap)-off < snapshotRecordSize {
-			return 0, fmt.Errorf("%w: truncated record %d", ErrBadSnapshot, i)
+	for _, apply := range []bool{false, true} {
+		off := snapshotHeaderSize
+		for i := uint32(0); i < count; i++ {
+			if len(snap)-off < snapshotRecordSize {
+				return 0, fmt.Errorf("%w: truncated record %d", ErrBadSnapshot, i)
+			}
+			id := ID(binary.BigEndian.Uint32(snap[off:]))
+			version := int64(binary.BigEndian.Uint64(snap[off+4:]))
+			n := binary.BigEndian.Uint32(snap[off+12:])
+			off += snapshotRecordSize
+			if id >= MaxObjects {
+				return 0, fmt.Errorf("%w: object ID %d out of range", ErrBadSnapshot, id)
+			}
+			if n > MaxSnapshotObjectBytes || len(snap)-off < int(n) {
+				return 0, fmt.Errorf("%w: object %d claims %d state bytes", ErrBadSnapshot, id, n)
+			}
+			if apply {
+				visit(id, version, snap[off:off+int(n)])
+			}
+			off += int(n)
 		}
-		id := ID(binary.BigEndian.Uint32(snap[off:]))
-		version := int64(binary.BigEndian.Uint64(snap[off+4:]))
-		n := binary.BigEndian.Uint32(snap[off+12:])
-		off += snapshotRecordSize
-		if n > MaxSnapshotObjectBytes || len(snap)-off < int(n) {
-			return 0, fmt.Errorf("%w: object %d claims %d state bytes", ErrBadSnapshot, id, n)
+		if off != len(snap) {
+			return 0, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(snap)-off)
 		}
-		visit(id, version, snap[off:off+int(n)])
-		off += int(n)
-	}
-	if off != len(snap) {
-		return 0, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(snap)-off)
 	}
 	return floor, nil
 }
@@ -98,22 +102,11 @@ func decodeSnapshot(snap []byte, visit func(id ID, version int64, state []byte))
 // peers in any order converges to the element-wise highest-version state.
 func (s *Store) Merge(snap []byte) (adopted int, floor int64, err error) {
 	floor, err = decodeSnapshot(snap, func(id ID, version int64, state []byte) {
-		o, ok := s.objs[id]
-		if !ok {
-			data := make([]byte, len(state))
-			copy(data, state)
-			s.objs[id] = &Object{id: id, data: data, version: version, writer: -1}
-			s.ids = nil
-			adopted++
+		if o := s.row(id); o != nil && version <= o.version {
 			return
 		}
-		if version <= o.version {
-			return
-		}
-		o.data = make([]byte, len(state))
-		copy(o.data, state)
-		o.version = version
-		o.writer = -1
+		init := s.Initial(id)
+		s.put(id, state, version).init = init
 		adopted++
 	})
 	if err != nil {
@@ -123,21 +116,18 @@ func (s *Store) Merge(snap []byte) (adopted int, floor int64, err error) {
 }
 
 // Restore replaces the store's entire contents with the snapshot,
-// discarding whatever was registered before, and returns the snapshot's
-// clock floor. A restarted process with no surviving local state uses
-// Restore; one that rebuilt its initial environment and wants the freshest
-// of both uses Merge.
+// discarding whatever was registered before (registered initial states
+// included), and returns the snapshot's clock floor. A restarted process
+// with no surviving local state uses Restore; one that rebuilt its initial
+// environment and wants the freshest of both uses Merge.
 func (s *Store) Restore(snap []byte) (floor int64, err error) {
-	objs := make(map[ID]*Object)
+	fresh := New()
 	floor, err = decodeSnapshot(snap, func(id ID, version int64, state []byte) {
-		data := make([]byte, len(state))
-		copy(data, state)
-		objs[id] = &Object{id: id, data: data, version: version, writer: -1}
+		fresh.put(id, state, version)
 	})
 	if err != nil {
 		return 0, err
 	}
-	s.objs = objs
-	s.ids = nil
+	*s = *fresh
 	return floor, nil
 }

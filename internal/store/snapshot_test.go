@@ -173,6 +173,7 @@ func FuzzMerge(f *testing.F) {
 	f.Add(seed.Snapshot(5))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1})
+	f.Add(hostileSnapshot(0xFFFFFFFF))
 	f.Fuzz(func(t *testing.T, snap []byte) {
 		s := New()
 		_ = s.Register(1, []byte("base"))

@@ -15,9 +15,8 @@ func EncodeDiffs(diffs []ObjDiff) []byte {
 	for _, od := range diffs {
 		buf = binary.AppendUvarint(buf, uint64(od.Obj))
 		buf = binary.AppendUvarint(buf, uint64(od.Version))
-		enc := diff.Encode(od.D)
-		buf = binary.AppendUvarint(buf, uint64(len(enc)))
-		buf = append(buf, enc...)
+		buf = binary.AppendUvarint(buf, uint64(diff.EncodedLen(od.D)))
+		buf = diff.AppendEncode(buf, od.D)
 	}
 	return buf
 }
@@ -50,9 +49,8 @@ func EncodeDeltaRecords(recs []DeltaRecord) []byte {
 		buf = binary.AppendUvarint(buf, uint64(rec.Version))
 		if !rec.Delta {
 			buf = append(buf, 0)
-			enc := diff.Encode(rec.D)
-			buf = binary.AppendUvarint(buf, uint64(len(enc)))
-			buf = append(buf, enc...)
+			buf = binary.AppendUvarint(buf, uint64(diff.EncodedLen(rec.D)))
+			buf = diff.AppendEncode(buf, rec.D)
 			continue
 		}
 		buf = append(buf, 1)

@@ -15,7 +15,9 @@ import (
 // deliberately naive reference model: per-proc maps of buffered writes with
 // a nil tombstone for dropped slots. The buffer under test uses the
 // whole-state Replace diffs the runtime ships, so merged entries must carry
-// exactly the latest write's bytes.
+// exactly the latest write's bytes. The buffer's AddAll has no skip set —
+// the runtime skips exactly the dropped processes — so a write that skips a
+// process is driven as a Drop of that process followed by the write.
 
 type refWrite struct {
 	ver  int64
@@ -136,7 +138,10 @@ func checkAgainstModel(t *testing.T, step int, b *SlottedBuffer, m *refModel) {
 	}
 }
 
-func runPropertySeq(t *testing.T, seed int64, merge bool) {
+// runPropertySeq runs one random schedule. A starve process in [0, n) is
+// never flushed until the schedule ends (the peer that stays out of range
+// until its Done), pinning the shared log; -1 starves nobody.
+func runPropertySeq(t *testing.T, seed int64, merge bool, starve int) {
 	t.Helper()
 	const n, self, steps = 4, 0, 400
 	rng := rand.New(rand.NewSource(seed))
@@ -150,32 +155,16 @@ func runPropertySeq(t *testing.T, seed int64, merge bool) {
 			obj := store.ID(rng.Intn(64))
 			ver := int64(step + 1)
 			data := replacePayload(rng)
-			var skip map[int]bool
 			if rng.Intn(3) == 0 {
-				skip = map[int]bool{rng.Intn(n): true}
+				q := rng.Intn(n)
+				b.Drop(q)
+				m.drop(q)
 			}
-			if err := b.AddAll(obj, ver, replaceOf(data), skip); err != nil {
-				t.Fatalf("step %d: AddAll: %v", step, err)
-			}
-			m.addAll(obj, ver, data, skip)
+			b.AddAll(obj, ver, replaceOf(data))
+			m.addAll(obj, ver, data, nil)
 		case op < 7: // flush one peer and compare the drained sequence
-			got := b.Flush(p)
-			want := m.flush(p)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: Flush(%d) drained %d diffs, want %d", step, p, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Version != want[i].ver {
-					t.Fatalf("step %d: Flush(%d)[%d] version %d, want %d", step, p, i, got[i].Version, want[i].ver)
-				}
-				if !got[i].D.Replace || !bytes.Equal(got[i].D.Runs[0].Data, want[i].data) {
-					t.Fatalf("step %d: Flush(%d)[%d] obj %d carries wrong bytes", step, p, i, got[i].Obj)
-				}
-			}
-			for i := 1; i < len(got); i++ {
-				if got[i].Obj < got[i-1].Obj {
-					t.Fatalf("step %d: Flush(%d) not ordered by object: %d after %d", step, p, got[i].Obj, got[i-1].Obj)
-				}
+			if p != starve {
+				checkFlush(t, step, b, m, p)
 			}
 		case op < 8:
 			b.Drop(p)
@@ -184,11 +173,37 @@ func runPropertySeq(t *testing.T, seed int64, merge bool) {
 			b.Readmit(p)
 			m.readmit(p)
 		default: // self-directed traffic must be inert
-			if err := b.Add(self, store.ID(rng.Intn(64)), int64(step), replaceOf(replacePayload(rng))); err != nil {
-				t.Fatalf("step %d: Add(self): %v", step, err)
+			if got := b.Flush(self); got != nil {
+				t.Fatalf("step %d: Flush(self) = %v", step, got)
 			}
 		}
 		checkAgainstModel(t, step, b, m)
+	}
+	for p := 0; p < n; p++ {
+		checkFlush(t, steps, b, m, p)
+	}
+}
+
+// checkFlush flushes p and compares the drained sequence with the model's.
+func checkFlush(t *testing.T, step int, b *SlottedBuffer, m *refModel, p int) {
+	t.Helper()
+	got := b.Flush(p)
+	want := m.flush(p)
+	if len(got) != len(want) {
+		t.Fatalf("step %d: Flush(%d) drained %d diffs, want %d", step, p, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Version != want[i].ver {
+			t.Fatalf("step %d: Flush(%d)[%d] version %d, want %d", step, p, i, got[i].Version, want[i].ver)
+		}
+		if !got[i].D.Replace || !bytes.Equal(got[i].D.Runs[0].Data, want[i].data) {
+			t.Fatalf("step %d: Flush(%d)[%d] obj %d carries wrong bytes", step, p, i, got[i].Obj)
+		}
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].Obj < got[i-1].Obj {
+			t.Fatalf("step %d: Flush(%d) not ordered by object: %d after %d", step, p, got[i].Obj, got[i-1].Obj)
+		}
 	}
 }
 
@@ -203,7 +218,21 @@ func TestSlottedBufferProperties(t *testing.T) {
 		for seed := 0; seed < seeds; seed++ {
 			merge, seed := merge, int64(seed)
 			t.Run(fmt.Sprintf("merge=%v/seed=%d", merge, seed), func(t *testing.T) {
-				runPropertySeq(t, seed, merge)
+				runPropertySeq(t, seed, merge, -1)
+			})
+		}
+	}
+}
+
+// TestSlottedBufferStarvedPeer runs the property schedules with one peer
+// that is never flushed until the end: its cursor pins the shared log while
+// the others drain and the log compacts around it.
+func TestSlottedBufferStarvedPeer(t *testing.T) {
+	for _, merge := range []bool{true, false} {
+		for seed := 0; seed < 4; seed++ {
+			merge, seed := merge, int64(seed)
+			t.Run(fmt.Sprintf("merge=%v/seed=%d", merge, seed), func(t *testing.T) {
+				runPropertySeq(t, seed, merge, 3)
 			})
 		}
 	}
@@ -214,16 +243,12 @@ func TestSlottedBufferProperties(t *testing.T) {
 // Readmit of a live slot is a no-op that preserves buffered diffs.
 func TestSlottedBufferDropReadmitCycle(t *testing.T) {
 	b := NewSlottedBuffer(0, 3, true)
-	if err := b.AddAll(5, 1, replaceOf([]byte("a")), nil); err != nil {
-		t.Fatal(err)
-	}
+	b.AddAll(5, 1, replaceOf([]byte("a")))
 	b.Drop(1)
 	if !b.Dropped(1) || b.Pending(1) != 0 {
 		t.Fatalf("after Drop: Dropped=%v Pending=%d", b.Dropped(1), b.Pending(1))
 	}
-	if err := b.AddAll(6, 2, replaceOf([]byte("b")), nil); err != nil {
-		t.Fatal(err)
-	}
+	b.AddAll(6, 2, replaceOf([]byte("b")))
 	if b.Pending(1) != 0 {
 		t.Fatalf("dropped slot accumulated %d diffs", b.Pending(1))
 	}
@@ -231,9 +256,7 @@ func TestSlottedBufferDropReadmitCycle(t *testing.T) {
 	if b.Dropped(1) || b.Pending(1) != 0 {
 		t.Fatalf("after Readmit: Dropped=%v Pending=%d, want live and empty", b.Dropped(1), b.Pending(1))
 	}
-	if err := b.AddAll(7, 3, replaceOf([]byte("c")), nil); err != nil {
-		t.Fatal(err)
-	}
+	b.AddAll(7, 3, replaceOf([]byte("c")))
 	b.Readmit(1) // live slot: must keep the buffered diff
 	if got := b.Pending(1); got != 1 {
 		t.Fatalf("Readmit of live slot lost diffs: Pending=%d, want 1", got)

@@ -115,20 +115,16 @@ func mkDiff(t *testing.T, old, new string) diff.Diff {
 func TestSlottedBufferBasics(t *testing.T) {
 	b := NewSlottedBuffer(0, 3, true)
 	d := mkDiff(t, "aaaa", "abba")
-	if err := b.Add(1, 7, 1, d); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if err := b.Add(0, 7, 1, d); err != nil { // self: silently ignored
-		t.Fatalf("Add self: %v", err)
-	}
+	b.Drop(2) // a write for peer 1 alone: every other peer is dropped
+	b.AddAll(7, 1, d)
 	if b.Pending(0) != 0 {
 		t.Error("self slot should stay empty")
 	}
 	if b.Pending(1) != 1 || b.Pending(2) != 0 {
 		t.Errorf("Pending = %d,%d", b.Pending(1), b.Pending(2))
 	}
-	if err := b.Add(5, 7, 1, d); err == nil {
-		t.Error("Add out of range should fail")
+	if b.Pending(5) != 0 || b.Flush(5) != nil {
+		t.Error("out-of-range slot should stay empty")
 	}
 
 	out := b.Flush(1)
@@ -145,12 +141,8 @@ func TestSlottedBufferMerges(t *testing.T) {
 	base := []byte("aaaaaaaa")
 	mid := []byte("abaaaaaa")
 	fin := []byte("abaaaaba")
-	if err := b.Add(1, 3, 1, diff.Compute(base, mid)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Add(1, 3, 2, diff.Compute(mid, fin)); err != nil {
-		t.Fatal(err)
-	}
+	b.AddAll(3, 1, diff.Compute(base, mid))
+	b.AddAll(3, 2, diff.Compute(mid, fin))
 	if got := b.Pending(1); got != 1 {
 		t.Fatalf("merged Pending = %d, want 1", got)
 	}
@@ -172,8 +164,8 @@ func TestSlottedBufferUnmergedKeepsAll(t *testing.T) {
 	base := []byte("aaaaaaaa")
 	mid := []byte("abaaaaaa")
 	fin := []byte("abaaaaba")
-	b.Add(1, 3, 1, diff.Compute(base, mid))
-	b.Add(1, 3, 2, diff.Compute(mid, fin))
+	b.AddAll(3, 1, diff.Compute(base, mid))
+	b.AddAll(3, 2, diff.Compute(mid, fin))
 	if got := b.Pending(1); got != 2 {
 		t.Fatalf("unmerged Pending = %d, want 2", got)
 	}
@@ -195,9 +187,7 @@ func TestSlottedBufferFlushOrdering(t *testing.T) {
 	b := NewSlottedBuffer(1, 3, true)
 	d := mkDiff(t, "xx", "xy")
 	for _, obj := range []store.ID{9, 2, 5} {
-		if err := b.Add(0, obj, 1, d); err != nil {
-			t.Fatal(err)
-		}
+		b.AddAll(obj, 1, d)
 	}
 	out := b.Flush(0)
 	if len(out) != 3 || out[0].Obj != 2 || out[1].Obj != 5 || out[2].Obj != 9 {
@@ -207,7 +197,7 @@ func TestSlottedBufferFlushOrdering(t *testing.T) {
 
 func TestSlottedBufferDrop(t *testing.T) {
 	b := NewSlottedBuffer(0, 2, true)
-	b.Add(1, 1, 1, mkDiff(t, "ab", "cd"))
+	b.AddAll(1, 1, mkDiff(t, "ab", "cd"))
 	b.Drop(1)
 	if b.Pending(1) != 0 {
 		t.Error("Drop did not clear slot")
@@ -236,9 +226,7 @@ func TestBufferedMergeEquivalentToEager(t *testing.T) {
 				next[rng.Intn(objLen)] = byte(rng.Intn(256))
 			}
 			d := diff.Compute(cur, next)
-			if err := buf.Add(1, 1, int64(i+1), d); err != nil {
-				return false
-			}
+			buf.AddAll(1, int64(i+1), d)
 			var err error
 			eager, err = diff.Apply(eager, d)
 			if err != nil {
