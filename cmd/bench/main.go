@@ -8,17 +8,16 @@
 //
 //	go run ./cmd/bench
 //
-// The delta-exchange, interest-management, and world-sharding suites
-// write their own trajectory files so the PR4 baseline stays byte-stable;
-// regenerate BENCH_PR8.json with `go run ./cmd/bench -suite delta`,
-// BENCH_PR9.json with `go run ./cmd/bench -suite interest`, and
-// BENCH_PR10.json with `go run ./cmd/bench -suite shard`.
+// The delta-exchange and interest-management suites write their own
+// trajectory files so the PR4 baseline stays byte-stable; regenerate
+// BENCH_PR8.json with `go run ./cmd/bench -suite delta` and BENCH_PR9.json
+// with `go run ./cmd/bench -suite interest`. BENCH_PR10.json is the
+// record of the retired world-sharding suite; nothing regenerates it.
 //
 // Flags:
 //
 //	-suite name which suite to run: "all" (default; BENCH_PR4.json),
-//	            "delta" (BENCH_PR8.json), "interest" (BENCH_PR9.json),
-//	            or "shard" (BENCH_PR10.json)
+//	            "delta" (BENCH_PR8.json) or "interest" (BENCH_PR9.json)
 //	-o file     output path (default depends on -suite)
 //	-run substr only benchmarks whose name contains substr
 //	-q          quiet: no per-benchmark progress on stderr
@@ -82,7 +81,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	suiteName := fs.String("suite", "all", `which suite to run: "all" or "delta"`)
+	suiteName := fs.String("suite", "all", `which suite to run: "all", "delta" or "interest"`)
 	out := fs.String("o", "", "output path for the trajectory JSON (default depends on -suite)")
 	match := fs.String("run", "", "only benchmarks whose name contains this substring")
 	quiet := fs.Bool("q", false, "suppress per-benchmark progress on stderr")
@@ -195,10 +194,8 @@ func selectSuite(name string) ([]benchsuite.Bench, string, error) {
 		return benchsuite.Delta(), "BENCH_PR8.json", nil
 	case "interest":
 		return benchsuite.Interest(), "BENCH_PR9.json", nil
-	case "shard":
-		return benchsuite.Shard(), "BENCH_PR10.json", nil
 	default:
-		return nil, "", fmt.Errorf("unknown suite %q (want \"all\", \"delta\", \"interest\", or \"shard\")", name)
+		return nil, "", fmt.Errorf("unknown suite %q (want \"all\", \"delta\" or \"interest\")", name)
 	}
 }
 

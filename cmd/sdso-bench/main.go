@@ -29,7 +29,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("sdso-bench", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "figure to regenerate: 5, 6, 7, 8, blocking, datasize, quorum, delta, interest, shard, resilience, or all")
+	fig := fs.String("fig", "all", "figure to regenerate: 5, 6, 7, 8, blocking, datasize, quorum, delta, interest, resilience, or all")
 	rng := fs.Int("range", 0, "tank visibility range (1 or 3); 0 means both")
 	seeds := fs.Int("seeds", 3, "number of game seeds to average over")
 	maxTicks := fs.Int("ticks", 200, "game horizon in logical ticks")
@@ -159,15 +159,6 @@ func run(args []string) error {
 		}
 		fmt.Println(harness.RenderInterest(rows))
 	}
-	// The shard panel sweeps shard counts {1, 4, 16} across the same
-	// fixed-density worlds, DATA fanout bounded by shard residency.
-	if want("shard") {
-		rows, err := harness.ShardAnalysis(nil, nil, seedList)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderShard(rows))
-	}
 	// The resilience panel runs over real loopback sockets (not the
 	// simulator) with chaos proxies killing every connection, so it is
 	// opt-in rather than part of -fig all.
@@ -180,9 +171,9 @@ func run(args []string) error {
 	}
 
 	switch *fig {
-	case "all", "5", "6", "7", "8", "blocking", "datasize", "quorum", "delta", "interest", "shard", "resilience":
+	case "all", "5", "6", "7", "8", "blocking", "datasize", "quorum", "delta", "interest", "resilience":
 		return nil
 	default:
-		return fmt.Errorf("unknown figure %q (want 5, 6, 7, 8, blocking, datasize, quorum, delta, interest, shard, resilience, or all)", *fig)
+		return fmt.Errorf("unknown figure %q (want 5, 6, 7, 8, blocking, datasize, quorum, delta, interest, resilience, or all)", *fig)
 	}
 }

@@ -179,21 +179,6 @@ type Config struct {
 	// byte-identical to the unfiltered runtime.
 	InterestFilter func(peer int) bool
 
-	// Shards records how many world regions the layer above partitioned
-	// the grid into (see internal/shard). The runtime itself is geometry-
-	// blind; the count is carried for diagnostics and so transports and
-	// tools can tell a sharded run from a flat one. Zero or one means
-	// unsharded.
-	Shards int
-	// ShardFilter, when set, gates DATA flushes by shard residency the
-	// same way InterestFilter gates them by sensing radius: a peer for
-	// which it returns false keeps its modifications buffered. The two
-	// filters compose as an intersection — data flows only when both
-	// agree — and ShardFilter obeys the same carve-outs (SYNC beacons
-	// never filtered, Broadcast exchanges exempt). Nil (the default)
-	// leaves every path byte-identical to the unfiltered runtime.
-	ShardFilter func(peer int) bool
-
 	// Trace, when set, records this process's observation history — clock
 	// ticks, schedule changes, data sends/applies, SYNC receipt,
 	// membership transitions — for the consistency oracle in
@@ -615,9 +600,6 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 		if sendData && opts.How != Broadcast && r.cfg.InterestFilter != nil && !r.cfg.InterestFilter(peer) {
 			sendData = false
 		}
-		if sendData && opts.How != Broadcast && r.cfg.ShardFilter != nil && !r.cfg.ShardFilter(peer) {
-			sendData = false
-		}
 		if r.tr != nil && !sendData {
 			for _, obj := range r.buf.Objects(peer) {
 				r.tr.Record(trace.OpWithheld, peer, int64(obj), 0, r.now, 0)
@@ -677,8 +659,8 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 			}
 			r.traceDataSend(peer, diffs, r.now)
 		}
-		if (r.cfg.InterestFilter != nil || r.cfg.ShardFilter != nil) && !sendData {
-			// With a spatial filter active the out-of-range peers are
+		if r.cfg.InterestFilter != nil && !sendData {
+			// With the interest filter active the out-of-range peers are
 			// the common case at scale; their bare SYNCs usually share a
 			// beacon (same tanks, same buffered box), so they are fanned
 			// out after the loop with one encode per distinct beacon.

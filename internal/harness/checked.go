@@ -58,12 +58,6 @@ type CheckedConfig struct {
 	// inside its radius once the interest machinery has had time to
 	// deliver it.
 	Interest bool
-	// Shards runs the lookahead protocols with the world partitioned and
-	// the DATA fanout intersected with shard residency (see
-	// lookahead.PlayerConfig.Shards). The shard gate shares the interest
-	// machinery's flush backstops, so the same spatial-safety slack
-	// applies; zero or one leaves the run unsharded.
-	Shards int
 }
 
 func (c CheckedConfig) withCheckedDefaults() CheckedConfig {
@@ -109,16 +103,14 @@ func checkOptions(cfg CheckedConfig, g game.Config) check.Options {
 	case EC:
 		opts.EC = true
 	}
-	if cfg.Interest || cfg.Shards > 1 {
-		// The interest filter and the shard gate withhold under every
-		// lookahead protocol (BSYNC included), so each withhold must
-		// honor the sensing radius, and every process must see updates
-		// to objects inside its radius within the interest machinery's
-		// delivery budget: up to InterestMaxStretch stretched batch
-		// periods for the flush-triggering rendezvous, doubled for the
-		// fetch round trip and beacon staleness, plus a constant for
-		// delivery jitter. The shard gate reuses the interest flush
-		// backstops, so the same slack bounds its withholds.
+	if cfg.Interest {
+		// The interest filter withholds under every lookahead protocol
+		// (BSYNC included), so each withhold must honor the sensing
+		// radius, and every process must see updates to objects inside
+		// its radius within the interest machinery's delivery budget: up
+		// to InterestMaxStretch stretched batch periods for the
+		// flush-triggering rendezvous, doubled for the fetch round trip
+		// and beacon staleness, plus a constant for delivery jitter.
 		base := cfg.MaxBatchTicks
 		if base < 1 {
 			base = 1
@@ -134,8 +126,8 @@ func checkOptions(cfg CheckedConfig, g game.Config) check.Options {
 // schedule and replays the history through the oracle.
 func RunChecked(cfg CheckedConfig) (*check.Report, error) {
 	cfg = cfg.withCheckedDefaults()
-	if (cfg.Interest || cfg.Shards > 1) && cfg.Protocol == EC {
-		return nil, fmt.Errorf("harness: interest management and sharding apply to the lookahead protocols, not %q", cfg.Protocol)
+	if cfg.Interest && cfg.Protocol == EC {
+		return nil, fmt.Errorf("harness: interest management applies to the lookahead protocols, not %q", cfg.Protocol)
 	}
 	switch cfg.Protocol {
 	case BSYNC, MSYNC, MSYNC2:
@@ -185,7 +177,6 @@ func runCheckedLookahead(cfg CheckedConfig) (*check.Report, error) {
 				DeltaEncode:       cfg.DeltaEncode,
 				MaxBatchTicks:     cfg.MaxBatchTicks,
 				Interest:          cfg.Interest,
-				Shards:            cfg.Shards,
 				Trace:             recs[i],
 				Snapshot:          func(st *store.Store) { stores[i] = st.Clone() },
 			})

@@ -11,7 +11,6 @@ import (
 	"sdso/internal/game"
 	"sdso/internal/metrics"
 	"sdso/internal/netmodel"
-	"sdso/internal/shard"
 )
 
 // PaperNs are the process counts on the paper's x-axes.
@@ -47,18 +46,13 @@ type SweepConfig struct {
 	// execution exactly. Every cell is an independent vtime simulation,
 	// so the assembled Sweep is identical for any worker count.
 	Workers int
-	// Shards partitions every cell's world into this many regions and
-	// intersects the DATA fanout with shard residency (see
-	// Config.Shards); only the lookahead protocols honor it. Zero or one
-	// means unsharded — byte-identical to the flat sweep.
-	Shards int
 }
 
 // SweepConfigError is the typed error RunSweep returns for a sweep that
 // could never run: a process count the world cannot place, an unknown
-// protocol, a shard count the partition rejects. It is returned up
-// front, before any cell is dispatched to the worker pool — historically
-// a bad process count (e.g. a negative n) panicked deep inside a worker
+// protocol or a negative worker count. It is returned up front, before
+// any cell is dispatched to the worker pool — historically a bad
+// process count (e.g. a negative n) panicked deep inside a worker
 // goroutine instead.
 type SweepConfigError struct {
 	Field  string // the SweepConfig field at fault
@@ -89,11 +83,6 @@ func (sc SweepConfig) Validate() error {
 		g.MaxTicks = sc.MaxTicks
 		if err := g.Validate(); err != nil {
 			return &SweepConfigError{Field: "Ns", Reason: fmt.Sprintf("n=%d: %v", n, err)}
-		}
-		if sc.Shards > 1 {
-			if err := shard.Validate(g.Width, g.Height, sc.Shards); err != nil {
-				return &SweepConfigError{Field: "Shards", Reason: err.Error()}
-			}
 		}
 	}
 	return nil
@@ -149,7 +138,7 @@ func runCell(sc SweepConfig, c sweepCell) (*Result, error) {
 	g.Seed = c.seed
 	g.MaxTicks = sc.MaxTicks
 	g.EndOnFirstGoal = true // the paper's race semantics
-	res, err := Run(Config{Game: g, Protocol: c.proto, Net: sc.Net, SuspectTimeout: sc.SuspectTimeout, Shards: sc.Shards})
+	res, err := Run(Config{Game: g, Protocol: c.proto, Net: sc.Net, SuspectTimeout: sc.SuspectTimeout})
 	if err != nil {
 		return nil, fmt.Errorf("sweep %s n=%d range=%d seed=%d: %w", c.proto, c.n, sc.Range, c.seed, err)
 	}

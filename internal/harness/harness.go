@@ -83,11 +83,6 @@ type Config struct {
 	// lookahead.PlayerConfig.Interest); only the lookahead protocols
 	// honor it.
 	Interest bool
-	// Shards partitions the world into this many regions and intersects
-	// the DATA fanout with shard residency (see
-	// lookahead.PlayerConfig.Shards); only the lookahead protocols honor
-	// it. Zero or one means unsharded.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -122,11 +117,11 @@ func Run(cfg Config) (*Result, error) {
 	case BSYNC, MSYNC, MSYNC2:
 		return runLookahead(cfg)
 	case EC:
-		return runEC(cfg)
+		return runECVtime(cfg)
 	case LRC:
-		return runLRC(cfg)
+		return runLRCVtime(cfg)
 	case Causal:
-		return runCausal(cfg)
+		return runCausalVtime(cfg)
 	case Central:
 		return runCentralVtime(cfg)
 	default:
@@ -172,7 +167,6 @@ func runLookahead(cfg Config) (*Result, error) {
 				MaxBatchTicks:     cfg.MaxBatchTicks,
 				PiggybackSync:     cfg.PiggybackSync,
 				Interest:          cfg.Interest,
-				Shards:            cfg.Shards,
 			})
 		})
 	}

@@ -17,14 +17,11 @@ func TestSweepConfigValidation(t *testing.T) {
 		field string // "" means valid
 	}{
 		{name: "defaults", sc: SweepConfig{}},
-		{name: "sharded", sc: SweepConfig{Shards: 4}},
 		{name: "negative n", sc: SweepConfig{Ns: []int{-2}}, field: "Ns"},
 		{name: "zero n", sc: SweepConfig{Ns: []int{0}}, field: "Ns"},
 		{name: "crowded n", sc: SweepConfig{Ns: []int{400}}, field: "Ns"},
 		{name: "unknown protocol", sc: SweepConfig{Protocols: []Protocol{"GOSSIP"}}, field: "Protocols"},
 		{name: "negative workers", sc: SweepConfig{Workers: -1}, field: "Workers"},
-		{name: "non-power-of-two shards", sc: SweepConfig{Shards: 3}, field: "Shards"},
-		{name: "oversized shards", sc: SweepConfig{Shards: 512}, field: "Shards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

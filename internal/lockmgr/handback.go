@@ -60,10 +60,11 @@ func (m *Manager) Readmit(recs []Record) {
 			continue
 		}
 		st := &lockState{
-			mode:    rec.Mode,
-			holders: make(map[int]bool, len(rec.Holders)),
-			owner:   rec.Owner,
-			version: rec.Version,
+			mode:     rec.Mode,
+			holders:  make(map[int]bool, len(rec.Holders)),
+			owner:    rec.Owner,
+			version:  rec.Version,
+			parkedBy: -1,
 		}
 		for _, p := range rec.Holders {
 			st.holders[p] = true

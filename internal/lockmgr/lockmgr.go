@@ -58,6 +58,9 @@ type Grant struct {
 	Mode    Mode
 	Owner   int
 	Version int64
+	// Parked reports that a process which has stopped playing left its
+	// tank on the object (see Park).
+	Parked bool
 }
 
 // Errors reported by the manager.
@@ -74,6 +77,9 @@ type lockState struct {
 	queue   []Request
 	owner   int
 	version int64
+	// parkedBy is the process whose stopped tank sits on the object, or
+	// -1 (see Park).
+	parkedBy int
 }
 
 // Manager manages the locks for a static subset of the shared objects.
@@ -92,7 +98,7 @@ func New(objs []store.ID, initialOwner func(store.ID) int) *Manager {
 		if initialOwner != nil {
 			owner = initialOwner(obj)
 		}
-		m.locks[obj] = &lockState{holders: make(map[int]bool), owner: owner}
+		m.locks[obj] = &lockState{holders: make(map[int]bool), owner: owner, parkedBy: -1}
 	}
 	return m
 }
@@ -152,7 +158,17 @@ func (m *Manager) compatible(st *lockState, mode Mode) bool {
 }
 
 func (m *Manager) grantFor(st *lockState, req Request) Grant {
-	return Grant{Proc: req.Proc, Obj: req.Obj, Mode: req.Mode, Owner: st.owner, Version: st.version}
+	return Grant{Proc: req.Proc, Obj: req.Obj, Mode: req.Mode, Owner: st.owner, Version: st.version, Parked: st.parkedBy >= 0}
+}
+
+// Park records that proc, which holds obj's lock, has stopped playing and
+// leaves its tank on obj: every later grant of obj says so. A dirty
+// release of obj by any other process clears the mark (the tank is gone).
+// A no-op for objects not managed here or not held by proc.
+func (m *Manager) Park(proc int, obj store.ID) {
+	if st, ok := m.locks[obj]; ok && st.holders[proc] {
+		st.parkedBy = proc
+	}
 }
 
 // Release returns proc's lock on obj. If the holder wrote the object
@@ -172,6 +188,9 @@ func (m *Manager) Release(proc int, obj store.ID, dirty bool, newVersion int64) 
 			return nil, fmt.Errorf("%w: dirty release of %s lock", ErrWrongRelease, st.mode)
 		}
 		st.owner = proc
+		if proc != st.parkedBy {
+			st.parkedBy = -1
+		}
 		if newVersion > st.version {
 			st.version = newVersion
 		}
@@ -247,7 +266,7 @@ func (m *Manager) Adopt(objs []store.ID, owner int) {
 		if _, ok := m.locks[obj]; ok {
 			continue
 		}
-		m.locks[obj] = &lockState{holders: make(map[int]bool), owner: owner}
+		m.locks[obj] = &lockState{holders: make(map[int]bool), owner: owner, parkedBy: -1}
 	}
 }
 
@@ -276,7 +295,7 @@ func (m *Manager) Reissue(proc int, obj store.ID) (Grant, bool) {
 	if !ok || !st.holders[proc] {
 		return Grant{}, false
 	}
-	return Grant{Proc: proc, Obj: obj, Mode: st.mode, Owner: st.owner, Version: st.version}, true
+	return Grant{Proc: proc, Obj: obj, Mode: st.mode, Owner: st.owner, Version: st.version, Parked: st.parkedBy >= 0}, true
 }
 
 // Holders returns the processes currently holding obj's lock (for tests and

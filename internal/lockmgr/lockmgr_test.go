@@ -170,6 +170,36 @@ func TestOwnerTracking(t *testing.T) {
 	}
 }
 
+// TestParkedTank: a holder's park mark rides on every later grant —
+// including a grant unblocked by the parking release itself and a reissue —
+// survives the parker's own dirty release, is ignored from a non-holder,
+// and is cleared by another process's dirty release.
+func TestParkedTank(t *testing.T) {
+	m := newMgr(t, 1)
+	m.Park(5, 1) // not a holder: no-op
+	if g, _ := m.Acquire(Request{Proc: 1, Obj: 1, Mode: Write}); len(g) != 1 || g[0].Parked {
+		t.Fatalf("grant before any park = %+v", g)
+	}
+	m.Acquire(Request{Proc: 2, Obj: 1, Mode: Read}) // queued behind the writer
+	m.Park(1, 1)
+	g, err := m.Release(1, 1, true, 4)
+	if err != nil || len(g) != 1 || g[0].Proc != 2 || !g[0].Parked {
+		t.Fatalf("grant unblocked by the parking release = %+v, %v", g, err)
+	}
+	if r, ok := m.Reissue(2, 1); !ok || !r.Parked {
+		t.Fatalf("reissued grant = %+v, %v", r, ok)
+	}
+	m.Release(2, 1, false, 0)
+	m.Acquire(Request{Proc: 3, Obj: 1, Mode: Write})
+	g, _ = m.Release(3, 1, true, 5) // the parked tank was destroyed
+	if len(g) != 0 {
+		t.Fatalf("unexpected grants %+v", g)
+	}
+	if g, _ := m.Acquire(Request{Proc: 4, Obj: 1, Mode: Write}); len(g) != 1 || g[0].Parked {
+		t.Fatalf("grant after another process's dirty release = %+v", g)
+	}
+}
+
 func TestManagerFor(t *testing.T) {
 	if ManagerFor(5, 0) != 0 {
 		t.Error("n=0 should map to 0")

@@ -151,13 +151,11 @@ type Collector struct {
 	// Delta-exchange and tick-batching counters: records shipped as XOR
 	// deltas instead of full diffs, payload bytes those deltas saved,
 	// delta base mismatches detected (and recovered from), logical ticks
-	// folded into a later rendezvous's frame by the batching s-function,
-	// and the adaptive flush controller's current threshold (a gauge).
+	// folded into a later rendezvous's frame by the batching s-function.
 	deltaRecords    padded
 	deltaBytesSaved padded
 	deltaMismatches padded
 	ticksBatched    padded
-	flushThreshold  padded
 
 	// Interest-management counters: the largest interest set the process
 	// ever held (a gauge), peers that entered or left the interest set
@@ -166,13 +164,6 @@ type Collector struct {
 	interestSetPeak padded
 	interestChurn   padded
 	interestFetches padded
-
-	// World-sharding counters: DATA flushes vetoed because no shard
-	// region is within reach of both neighborhoods, region handoffs
-	// completed, and writes stalled against a migrating region.
-	shardVetoes   padded
-	shardHandoffs padded
-	shardStalls   padded
 }
 
 // NewCollector returns an empty collector.
@@ -297,10 +288,6 @@ func (c *Collector) AddDeltaMismatch() { c.deltaMismatches.v.Add(1) }
 // later rendezvous's frame by the tick-batching s-function.
 func (c *Collector) AddTickBatched() { c.ticksBatched.v.Add(1) }
 
-// NoteFlushThreshold records the adaptive flush controller's current
-// byte threshold (a gauge: the last written value wins).
-func (c *Collector) NoteFlushThreshold(threshold int) { c.flushThreshold.v.Store(int64(threshold)) }
-
 // NoteInterestSetSize raises the interest-set high-water mark to n if it
 // is the largest set observed so far.
 func (c *Collector) NoteInterestSetSize(n int) { c.interestSetPeak.Max(int64(n)) }
@@ -312,17 +299,6 @@ func (c *Collector) AddInterestChurn(n int) { c.interestChurn.v.Add(int64(n)) }
 // AddInterestFetch records one on-demand full-record fetch issued because
 // a peer entered the sensing radius.
 func (c *Collector) AddInterestFetch() { c.interestFetches.v.Add(1) }
-
-// AddShardVeto records one DATA flush withheld because the peer's
-// neighborhood shares no world shard with ours.
-func (c *Collector) AddShardVeto() { c.shardVetoes.v.Add(1) }
-
-// AddShardHandoff records one completed shard ownership handoff.
-func (c *Collector) AddShardHandoff() { c.shardHandoffs.v.Add(1) }
-
-// AddShardStall records one write stalled against a migrating region
-// (replayed at the new owner or applied after an abort).
-func (c *Collector) AddShardStall() { c.shardStalls.v.Add(1) }
 
 // SetExecTime records the process's total execution time (its clock at
 // completion).
@@ -363,19 +339,14 @@ func (c *Collector) Snapshot() Snapshot {
 		SendQDepthPeak:    int(c.sendqDepthPeak.v.Load()),
 		DrainFlushedBytes: int(c.drainFlushed.v.Load()),
 
-		DeltaRecords:          int(c.deltaRecords.v.Load()),
-		DeltaBytesSaved:       int(c.deltaBytesSaved.v.Load()),
-		DeltaMismatches:       int(c.deltaMismatches.v.Load()),
-		TicksBatched:          int(c.ticksBatched.v.Load()),
-		FlushThresholdCurrent: int(c.flushThreshold.v.Load()),
+		DeltaRecords:    int(c.deltaRecords.v.Load()),
+		DeltaBytesSaved: int(c.deltaBytesSaved.v.Load()),
+		DeltaMismatches: int(c.deltaMismatches.v.Load()),
+		TicksBatched:    int(c.ticksBatched.v.Load()),
 
 		InterestSetPeak: int(c.interestSetPeak.v.Load()),
 		InterestChurn:   int(c.interestChurn.v.Load()),
 		InterestFetches: int(c.interestFetches.v.Load()),
-
-		ShardVetoes:   int(c.shardVetoes.v.Load()),
-		ShardHandoffs: int(c.shardHandoffs.v.Load()),
-		ShardStalls:   int(c.shardStalls.v.Load()),
 	}
 	for k := wire.KindSync; int(k) < wire.NumKinds; k++ {
 		if n := c.msgsSent[k].v.Load(); n != 0 {
@@ -436,25 +407,17 @@ type Snapshot struct {
 	DrainFlushedBytes int
 	// Delta-exchange and tick-batching counters: XOR-delta records sent,
 	// payload bytes those deltas saved over full diffs, delta base
-	// mismatches detected, ticks folded by the batching s-function, and
-	// the adaptive flush controller's final threshold.
-	DeltaRecords          int
-	DeltaBytesSaved       int
-	DeltaMismatches       int
-	TicksBatched          int
-	FlushThresholdCurrent int
+	// mismatches detected, and ticks folded by the batching s-function.
+	DeltaRecords    int
+	DeltaBytesSaved int
+	DeltaMismatches int
+	TicksBatched    int
 	// Interest-management counters: the largest interest set held at any
 	// refresh, peers entering or leaving the set after the initial build,
 	// and on-demand full-record fetches triggered by enter-radius events.
 	InterestSetPeak int
 	InterestChurn   int
 	InterestFetches int
-	// World-sharding counters: DATA flushes vetoed by shard residency,
-	// region handoffs completed, and writes stalled against a migrating
-	// region.
-	ShardVetoes   int
-	ShardHandoffs int
-	ShardStalls   int
 }
 
 // DataMsgs returns the number of data messages sent (paper Figure 7).
@@ -736,18 +699,6 @@ func (g Group) TicksBatched() int {
 	return n
 }
 
-// FlushThresholdPeak returns the highest adaptive flush threshold any
-// process ended with (zero when the controller never ran).
-func (g Group) FlushThresholdPeak() int {
-	n := 0
-	for _, s := range g.Procs {
-		if s.FlushThresholdCurrent > n {
-			n = s.FlushThresholdCurrent
-		}
-	}
-	return n
-}
-
 // InterestSetPeak returns the largest interest set any process held.
 func (g Group) InterestSetPeak() int {
 	n := 0
@@ -773,34 +724,6 @@ func (g Group) InterestFetches() int {
 	n := 0
 	for _, s := range g.Procs {
 		n += s.InterestFetches
-	}
-	return n
-}
-
-// ShardVetoes sums residency-vetoed DATA flushes across processes.
-func (g Group) ShardVetoes() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.ShardVetoes
-	}
-	return n
-}
-
-// ShardHandoffs sums completed region handoffs across processes.
-func (g Group) ShardHandoffs() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.ShardHandoffs
-	}
-	return n
-}
-
-// ShardStalls sums writes stalled against migrating regions across
-// processes.
-func (g Group) ShardStalls() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.ShardStalls
 	}
 	return n
 }

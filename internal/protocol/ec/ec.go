@@ -115,6 +115,11 @@ type Node struct {
 	tanks    []game.TankState
 	stats    game.TeamStats
 	gameOver bool
+	// parked marks, per object, that this iteration's grant reported a
+	// stopped team's tank on it (application-side; see lockmgr.Park).
+	// Such tanks are obstacles, not enemies: a team that has played its
+	// last tick can no longer learn of its own destruction.
+	parked []bool
 
 	// crashed marks teams declared crashed (guarded by mu; the app and
 	// service processes of a node converge on it independently).
@@ -176,6 +181,7 @@ func New(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg: cfg, team: cfg.App.ID(), teams: teams, mc: mc,
 		crashed: make(map[int]bool), inc: make(map[int]int64),
+		parked: make([]bool, cfg.Game.NumObjects()),
 	}
 	if cfg.Incarnation > 0 {
 		n.inc[n.team] = cfg.Incarnation
@@ -680,6 +686,7 @@ func (n *Node) handleLockReq(m *wire.Msg) error {
 func (n *Node) handleLockRelease(m *wire.Msg) error {
 	proc := lockProc(m)
 	dirty := len(m.Ints) >= 2 && m.Ints[0] == 1
+	park := len(m.Ints) >= 3 && m.Ints[2] == 1
 	var version int64
 	if dirty {
 		version = m.Ints[1]
@@ -690,6 +697,9 @@ func (n *Node) handleLockRelease(m *wire.Msg) error {
 	}
 	n.cfg.SvcTrace.Record(trace.OpMgrRelease, proc, int64(m.Obj), version, 0, dirtyAux)
 	n.mu.Lock()
+	if park {
+		n.mgr.Park(proc, store.ID(m.Obj))
+	}
 	grants, err := n.mgr.Release(proc, store.ID(m.Obj), dirty, version)
 	n.mu.Unlock()
 	if n.ft() && errors.Is(err, lockmgr.ErrNotHeld) {
@@ -740,6 +750,9 @@ func (n *Node) sendGrants(grants []lockmgr.Grant) error {
 		m := &wire.Msg{
 			Kind: wire.KindLockGrant, Obj: uint32(g.Obj), Mode: mode,
 			Ints: []int64{int64(g.Owner), g.Version},
+		}
+		if g.Parked {
+			m.Ints = append(m.Ints, 1)
 		}
 		if err := n.countSend(n.cfg.Svc, g.Proc, m); err != nil {
 			return fmt.Errorf("ec service %d: send grant: %w", n.team, err)
@@ -964,7 +977,7 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 		appStart := app.Now()
 		alive := n.refreshTanks()
 		if !alive {
-			n.releaseAll(locks, nil)
+			n.releaseAll(locks, nil, false)
 			if !n.stats.ReachedGoal {
 				n.stats.Destroyed = true
 			}
@@ -974,13 +987,17 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 		n.stats.Ticks++
 
 		dirty := n.decideAndWrite()
+		// The last tick of the budget parks the surviving tanks: their
+		// cells' releases tell the managers, so a team still playing
+		// cannot shoot a tank whose team has stopped looking.
+		last := tick == n.cfg.Game.MaxTicks
 		n.mc.AddTime(metrics.CatAppCompute, app.Now()-appStart)
 		if n.cfg.ComputePerTick > 0 {
 			app.Compute(n.cfg.ComputePerTick)
 			n.mc.AddTime(metrics.CatAppCompute, n.cfg.ComputePerTick)
 		}
 
-		n.releaseAll(locks, dirty)
+		n.releaseAll(locks, dirty, last)
 
 		if n.stats.ReachedGoal && len(n.tanks) == 0 {
 			n.stats.DoneTick = int64(tick)
@@ -1257,6 +1274,7 @@ func (n *Node) acquireOne(lr lockReq) error {
 	n.mc.AddTime(metrics.CatLockAcquire, app.Now()-t0)
 
 	owner, version := int(grant.Ints[0]), grant.Ints[1]
+	n.parked[lr.obj] = len(grant.Ints) >= 3 && grant.Ints[2] == 1
 	n.cfg.AppTrace.Record(trace.OpLockGranted, owner, int64(lr.obj), version, 0, modeAux)
 	n.mu.Lock()
 	local, _ := n.st.Version(lr.obj)
@@ -1500,10 +1518,18 @@ func (n *Node) awaitPullFT(obj store.ID, req *wire.Msg, owner int) (*wire.Msg, b
 }
 
 // releaseAll returns every lock; written objects release dirty with their
-// new version, transferring ownership.
-func (n *Node) releaseAll(locks []lockReq, dirty map[store.ID]int64) {
+// new version, transferring ownership. With park set, the releases of the
+// surviving tanks' cells also park them (lockmgr.Park).
+func (n *Node) releaseAll(locks []lockReq, dirty map[store.ID]int64, park bool) {
 	app := n.cfg.App
 	t0 := app.Now()
+	var parkAt map[store.ID]bool
+	if park {
+		parkAt = make(map[store.ID]bool, len(n.tanks))
+		for _, tank := range n.tanks {
+			parkAt[n.cfg.Game.ObjectOf(tank.Pos)] = true
+		}
+	}
 	for _, lr := range locks {
 		mgrTeam := lockmgr.ManagerFor(lr.obj, n.teams)
 		if n.ft() {
@@ -1516,6 +1542,9 @@ func (n *Node) releaseAll(locks []lockReq, dirty map[store.ID]int64) {
 		} else {
 			rel.Ints = []int64{0, 0}
 			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.obj), 0, 0, 0)
+		}
+		if parkAt[lr.obj] && lr.write {
+			rel.Ints = append(rel.Ints, 1)
 		}
 		// Releases are asynchronous; errors only surface via metrics
 		// divergence in tests.
@@ -1572,7 +1601,7 @@ func (n *Node) decideAndWrite() map[store.ID]int64 {
 				if !cfg.InBounds(p) {
 					break
 				}
-				if c := cellAt(p); c.Kind == game.Tank && c.Team != n.team {
+				if c := cellAt(p); c.Kind == game.Tank && c.Team != n.team && !n.parked[cfg.ObjectOf(p)] {
 					enemies[c.Team] = append(enemies[c.Team], p)
 				}
 			}

@@ -34,7 +34,6 @@ import (
 	"sdso/internal/game"
 	"sdso/internal/interest"
 	"sdso/internal/metrics"
-	"sdso/internal/shard"
 	"sdso/internal/store"
 	"sdso/internal/trace"
 	"sdso/internal/transport"
@@ -111,16 +110,6 @@ type PlayerConfig struct {
 	// and Broadcast flushes ignore it entirely. Off by default: the
 	// exchange path stays byte-identical.
 	Interest bool
-	// Shards partitions the world grid into this many numbered regions
-	// (internal/shard: recursive longest-axis halving, so the count must
-	// be a power of two up to 256) and intersects the DATA fanout with
-	// shard residency: a peer receives a flush only when some region is
-	// within interaction reach of both neighborhoods. Blind peers and
-	// the MSYNC flush backstops always pass, mirroring the interest
-	// filter's safety rules, and the two filters compose when both are
-	// on. Zero or one leaves the exchange path byte-identical to the
-	// unsharded runtime.
-	Shards int
 	// ComputePerTick models the application's per-tick local processing
 	// ("the application processes have only a minimal amount of local
 	// processor processing to perform", §4).
@@ -191,8 +180,7 @@ type player struct {
 	// enemies is decideAll's per-tick enemy picture, reused across ticks.
 	enemies map[int][]game.Pos
 	mc      *metrics.Collector
-	ix      *interest.Index  // nil unless cfg.Interest
-	shards  *shard.Partition // nil unless cfg.Shards > 1
+	ix      *interest.Index // nil unless cfg.Interest
 }
 
 // RunPlayer executes one team's process to completion and returns its
@@ -240,13 +228,6 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 			Radius: cfg.Game.InteractionRadius(),
 		})
 	}
-	if cfg.Shards > 1 {
-		part, err := shard.New(cfg.Game.Width, cfg.Game.Height, cfg.Shards)
-		if err != nil {
-			return nil, fmt.Errorf("lookahead: %w", err)
-		}
-		p.shards = part
-	}
 
 	// A joiner starts knowing only itself and readmits peers as their join
 	// acks arrive; a survivor expecting late joiners starts without them.
@@ -277,16 +258,8 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 		// only from peers that provably cannot be looking at it.
 		filter = p.interestGate
 	}
-	var shardFilter func(peer int) bool
-	if p.shards != nil {
-		// Intersected with the interest filter by the runtime: data goes
-		// out only when the peer is both interesting and shard-resident.
-		shardFilter = p.shardGate
-	}
 	rt, err := core.New(core.Config{
 		InterestFilter:    filter,
-		Shards:            cfg.Shards,
-		ShardFilter:       shardFilter,
 		Endpoint:          cfg.Endpoint,
 		Metrics:           mc,
 		MergeDiffs:        merge,

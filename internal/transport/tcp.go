@@ -34,17 +34,6 @@ const (
 	tcpSendQueueBytes  = 8 << 20
 )
 
-// Adaptive flush controller bounds: the runtime threshold doubles up to
-// the cap when sends keep crossing it (frames are coalescing — batch
-// harder) and halves down to the floor when the exchange barrier finds the
-// buffer mostly empty (the threshold exceeds a round's traffic and only
-// adds latency).
-const (
-	adaptiveFlushMin  = 512
-	adaptiveFlushMax  = 64 << 10
-	adaptiveFlushInit = 2048
-)
-
 // QueuePolicy selects what a resilient endpoint does when a peer's send
 // queue is full.
 type QueuePolicy int
@@ -79,17 +68,6 @@ type TCPConfig struct {
 	// flush-per-Send behavior, which callers without a Flush barrier
 	// (request/reply loops) rely on.
 	FlushThreshold int
-	// AdaptiveFlush drives the flush threshold at runtime instead of
-	// pinning it: starting from FlushThreshold (or 2 KiB when zero), the
-	// effective threshold doubles (capped at 64 KiB) every time a send
-	// crosses it — traffic is heavy enough to coalesce more — and halves
-	// (floored at 512 B) whenever the Flush barrier finds every buffer
-	// well under it, so light traffic is not held back waiting for a
-	// threshold it will never reach. The current value is observable as
-	// metrics.Snapshot.FlushThresholdCurrent. Only meaningful with the
-	// legacy (non-resilient) mesh: the session layer's writers flush on
-	// queue idle instead of by threshold.
-	AdaptiveFlush bool
 	// Metrics, when non-nil, counts physical frames, wire bytes, and
 	// flushes at this endpoint (metrics.Snapshot's FramesSent /
 	// WireBytes / Flushes), plus the resilience counters (Reconnects,
@@ -206,10 +184,6 @@ type TCPEndpoint struct {
 	closing atomic.Bool
 	done    chan struct{}
 
-	// flushThr is the adaptive flush controller's current threshold
-	// (TCPConfig.AdaptiveFlush); zero when the controller is off.
-	flushThr atomic.Int64
-
 	peers []*tcpPeer // index by peer id; nil at own index
 	wg    sync.WaitGroup
 }
@@ -314,16 +288,6 @@ func DialTCPConfig(id int, addrs []string, cfg TCPConfig) (*TCPEndpoint, error) 
 		peers: make([]*tcpPeer, n),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	if cfg.AdaptiveFlush {
-		thr := cfg.FlushThreshold
-		if thr <= 0 {
-			thr = adaptiveFlushInit
-		}
-		e.flushThr.Store(int64(thr))
-		if cfg.Metrics != nil {
-			cfg.Metrics.NoteFlushThreshold(thr)
-		}
-	}
 	if cfg.resilient() {
 		if err := e.startSession(); err != nil {
 			e.Close()
@@ -489,41 +453,12 @@ func (e *TCPEndpoint) peer(to int) (*tcpPeer, error) {
 	return p, nil
 }
 
-// flushThreshold returns the effective deferred-flush threshold: the
-// adaptive controller's current value when AdaptiveFlush is on, the
-// configured constant otherwise (zero meaning flush-per-send).
-func (e *TCPEndpoint) flushThreshold() int {
-	if e.cfg.AdaptiveFlush {
-		return int(e.flushThr.Load())
-	}
-	return e.cfg.FlushThreshold
-}
-
-// setFlushThreshold clamps and installs a new adaptive threshold,
-// exporting it through the FlushThresholdCurrent gauge.
-func (e *TCPEndpoint) setFlushThreshold(thr int) {
-	if thr < adaptiveFlushMin {
-		thr = adaptiveFlushMin
-	}
-	if thr > adaptiveFlushMax {
-		thr = adaptiveFlushMax
-	}
-	e.flushThr.Store(int64(thr))
-	if e.cfg.Metrics != nil {
-		e.cfg.Metrics.NoteFlushThreshold(thr)
-	}
-}
-
 // maybeFlushLocked applies the flush policy after a frame was staged in
 // p.bw (p.mu held): flush-per-send when no threshold is configured,
 // otherwise only once the buffer crosses the threshold — the runtime's
-// Flush barrier picks up the rest. A threshold-triggered flush tells the
-// adaptive controller that traffic is dense enough to coalesce: the
-// threshold doubles so the next batch folds more frames into one syscall.
+// Flush barrier picks up the rest.
 func (e *TCPEndpoint) maybeFlushLocked(p *tcpPeer) error {
-	thr := e.flushThreshold()
-	buffered := p.bw.Buffered()
-	if thr > 0 && buffered < thr {
+	if thr := e.cfg.FlushThreshold; thr > 0 && p.bw.Buffered() < thr {
 		return nil
 	}
 	if err := p.bw.Flush(); err != nil {
@@ -531,9 +466,6 @@ func (e *TCPEndpoint) maybeFlushLocked(p *tcpPeer) error {
 	}
 	if e.cfg.Metrics != nil {
 		e.cfg.Metrics.AddFlush()
-	}
-	if e.cfg.AdaptiveFlush && thr > 0 && buffered >= thr {
-		e.setFlushThreshold(thr * 2)
 	}
 	return nil
 }
@@ -651,37 +583,21 @@ func (e *TCPEndpoint) Flush() error {
 	copy(peers, e.peers)
 	e.mu.Unlock()
 	var errs []error
-	maxBuffered, flushed := 0, false
 	for to, p := range peers {
 		if p == nil {
 			continue
 		}
 		p.mu.Lock()
 		if !p.dead && p.bw.Buffered() > 0 {
-			if b := p.bw.Buffered(); b > maxBuffered {
-				maxBuffered = b
-			}
 			if err := p.bw.Flush(); err != nil {
 				if err := p.brokenLocked(); err != nil {
 					errs = append(errs, fmt.Errorf("flush to %d: %w", to, err))
 				}
-			} else {
-				flushed = true
-				if e.cfg.Metrics != nil {
-					e.cfg.Metrics.AddFlush()
-				}
+			} else if e.cfg.Metrics != nil {
+				e.cfg.Metrics.AddFlush()
 			}
 		}
 		p.mu.Unlock()
-	}
-	// Barrier flushes finding every buffer well under the threshold mean
-	// the threshold exceeds a whole round's traffic to any peer: it only
-	// delays frames the barrier would have sent anyway. Back it off (once
-	// per barrier, on the busiest peer's fill) so light phases return to
-	// prompt flushing.
-	if thr := e.flushThreshold(); e.cfg.AdaptiveFlush && thr > adaptiveFlushMin &&
-		flushed && maxBuffered < thr/2 {
-		e.setFlushThreshold(thr / 2)
 	}
 	return errors.Join(errs...)
 }

@@ -1,8 +1,8 @@
 package transport
 
 // Tests pinning wire.Encoded refcount balance through the session layer's
-// bounded send queue (every dequeue path must Release its frame back to
-// the pool) and the adaptive flush controller's threshold dynamics.
+// bounded send queue: every dequeue path must Release its frame back to
+// the pool.
 
 import (
 	"sync"
@@ -85,86 +85,5 @@ func TestSessionCloseReleasesRetainedFrames(t *testing.T) {
 	}
 	if got := wire.LiveFrames() - base; got != 0 {
 		t.Fatalf("live frames after close = %d, want 0 (queued or retained frames leaked)", got)
-	}
-}
-
-// TestAdaptiveFlushThresholdTracksTraffic drives the legacy mesh's
-// adaptive flush controller through both transitions: sends dense enough
-// to cross the threshold double it, and barrier flushes that find the
-// buffers nearly empty halve it back, with the current value exported
-// through the FlushThresholdCurrent gauge.
-func TestAdaptiveFlushThresholdTracksTraffic(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	mc := metrics.NewCollector()
-	eps := make([]*TCPEndpoint, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		i := i
-		cfg := TCPConfig{FlushThreshold: 1024, AdaptiveFlush: true,
-			CloseGrace: 100 * time.Millisecond}
-		if i == 0 {
-			cfg.Metrics = mc
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eps[i], errs[i] = DialTCPConfig(i, addrs, cfg)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("dial %d: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, ep := range eps {
-			if ep != nil {
-				ep.Close()
-			}
-		}
-	})
-
-	if got := eps[0].flushThreshold(); got != 1024 {
-		t.Fatalf("initial threshold = %d, want 1024", got)
-	}
-	// Dense phase: each send stages ~600B, so every second send crosses
-	// the 1KiB threshold and the controller doubles it toward the cap.
-	payload := make([]byte, 600)
-	for i := 0; i < 64; i++ {
-		if err := eps[0].Send(1, &wire.Msg{Kind: wire.KindData, Stamp: int64(i), Payload: payload}); err != nil {
-			t.Fatalf("dense send %d: %v", i, err)
-		}
-	}
-	raised := eps[0].flushThreshold()
-	if raised <= 1024 {
-		t.Fatalf("threshold after dense phase = %d, want > 1024", raised)
-	}
-	if raised > adaptiveFlushMax {
-		t.Fatalf("threshold after dense phase = %d, exceeds cap %d", raised, adaptiveFlushMax)
-	}
-	if got := mc.Snapshot().FlushThresholdCurrent; got != raised {
-		t.Fatalf("FlushThresholdCurrent gauge = %d, want %d", got, raised)
-	}
-	if err := eps[0].Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	// Light phase: one small frame per barrier leaves the buffer far
-	// under threshold, so each barrier halves it down to the floor.
-	for i := 0; i < 16; i++ {
-		if err := eps[0].Send(1, &wire.Msg{Kind: wire.KindData, Stamp: int64(100 + i)}); err != nil {
-			t.Fatalf("light send %d: %v", i, err)
-		}
-		if err := eps[0].Flush(); err != nil {
-			t.Fatalf("light flush %d: %v", i, err)
-		}
-	}
-	lowered := eps[0].flushThreshold()
-	if lowered != adaptiveFlushMin {
-		t.Fatalf("threshold after light phase = %d, want floor %d", lowered, adaptiveFlushMin)
-	}
-	if got := mc.Snapshot().FlushThresholdCurrent; got != lowered {
-		t.Fatalf("FlushThresholdCurrent gauge = %d, want %d", got, lowered)
 	}
 }
